@@ -23,7 +23,6 @@ if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
 from repro.bench import (  # noqa: E402 - path setup must precede the import
-    BENCH_EXPERIMENTS,
     BenchResult,
     compare_to_baseline,
     load_baseline,
@@ -34,7 +33,6 @@ from repro.bench import (  # noqa: E402 - path setup must precede the import
 )
 
 __all__ = [
-    "BENCH_EXPERIMENTS",
     "BenchResult",
     "compare_to_baseline",
     "load_baseline",

@@ -6,18 +6,15 @@ than CRIU (no data serialization); Mitosis is ~1.5x faster than CXLfork
 is coupled to the parent node, while CXLfork's is shareable pod-wide.
 """
 
-from repro.experiments import checkpoint_perf
+from repro.experiments import checkpoint_perf, run
 
 
 def test_checkpoint_performance(once, capsys):
-    rows = once(checkpoint_perf.run)
-    summary = checkpoint_perf.summarize(rows)
+    rows = once(run, "checkpoint")
+    summary = checkpoint_perf.headline(rows)
     with capsys.disabled():
         print("\n=== Checkpoint performance (§7.1) ===")
         print(checkpoint_perf.format_rows(rows))
-        print()
-        for key, value in summary.items():
-            print(f"{key:>22}: {value:.2f}")
 
     # CRIU is many times slower than both (paper: ~10x).
     assert summary["criu_vs_cxlfork"] >= 4.0

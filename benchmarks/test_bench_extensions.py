@@ -12,36 +12,36 @@ These implement the paper's own discussion-section agenda (§8) plus the
 
 from repro.experiments import (
     density,
-    failure,
+    failure_sweep,
     keepalive_study,
+    run,
     scalability,
     write_heavy,
 )
 
 
 def test_extension_node_failure(once, capsys):
-    rows = once(failure.run)
+    rows = once(run, "failure-sweep", failure_sweep.Config.quick())
     with capsys.disabled():
-        print("\n=== Extension: restoring after the source node crashes ===")
-        print(failure.format_rows(rows))
-    by_mech = {row.mechanism: row for row in rows}
+        print("\n=== Extension: crashing nodes across checkpoint/restore ===")
+        print(failure_sweep.format_rows(rows))
+    # The §3.1 scenario: the source node dies after the checkpoint.
+    by_mech = {row.mechanism: row for row in rows if row.stage == "between"}
     # CXLfork and CRIU-CXL checkpoints are decoupled: clones still spawn.
     assert by_mech["cxlfork"].survived
     assert by_mech["criu-cxl"].survived
     # Mitosis' checkpoint died with its parent node (§3.1).
     assert not by_mech["mitosis-cxl"].survived
-    # And the surviving restores keep their usual cost ordering.
-    assert by_mech["cxlfork"].restore_ms < by_mech["criu-cxl"].restore_ms
+    # And the surviving recoveries keep their usual cost ordering.
+    assert by_mech["cxlfork"].recovery_ms < by_mech["criu-cxl"].recovery_ms
 
 
 def test_extension_bandwidth_scalability(once, capsys):
-    rows = once(scalability.run, node_counts=(2, 8, 16))
-    summary = scalability.summarize(rows)
+    rows = once(run, "scalability", scalability.Config(node_counts=(2, 8, 16)))
+    summary = scalability.headline(rows)
     with capsys.disabled():
         print("\n=== Extension: many-node scaling under shared bandwidth ===")
         print(scalability.format_rows(rows))
-        for key, value in summary.items():
-            print(f"{key:>34}: {value:.2f}")
     # MoW collapses once the fabric saturates (§8's anticipated bottleneck).
     assert summary["mow_slowdown"] > 2.0
     # Bandwidth-aware tiering keeps clones near their 2-node speed.
@@ -58,13 +58,11 @@ def test_extension_bandwidth_scalability(once, capsys):
 
 
 def test_extension_keepalive_windows(once, capsys):
-    rows = once(keepalive_study.run)
-    summary = keepalive_study.summarize(rows)
+    rows = once(run, "keepalive")
+    summary = keepalive_study.headline(rows)
     with capsys.disabled():
         print("\n=== Extension: keep-alive window sweep (CXLfork restores) ===")
         print(keepalive_study.format_rows(rows))
-        for key, value in summary.items():
-            print(f"{key:>34}: {value:.3f}")
     # Short windows restore more often but hold much less memory...
     assert summary["restore_ratio_short_vs_long"] > 1.5
     assert summary["memory_ratio_short_vs_long"] < 0.7
@@ -75,11 +73,11 @@ def test_extension_keepalive_windows(once, capsys):
 
 def test_extension_function_density(once, capsys):
     """§2.2: deduplication lets far more instances share a memory budget."""
-    rows = once(density.run, "bert")
-    summary = density.summarize(rows)
+    rows = once(density.run_budget, "bert")
+    summary = density.summarize_budget(rows)
     with capsys.disabled():
         print("\n=== Extension: instances per 3 GiB of node DRAM (BERT) ===")
-        print(density.format_rows(rows))
+        print(density.format_budget(rows))
         for key, value in summary.items():
             print(f"{key:>30}: {value:.1f}")
     by_mech = {row.mechanism: row for row in rows}
@@ -100,14 +98,11 @@ def test_extension_function_density(once, capsys):
 def test_extension_write_heavy(once, capsys):
     """§8's discussion, measured: cloning stays instant as the write share
     grows, but the memory savings are blunted."""
-    rows = once(write_heavy.run)
-    summary = write_heavy.summarize(rows)
+    rows = once(run, "write-heavy")
+    summary = write_heavy.headline(rows)
     with capsys.disabled():
         print("\n=== Extension: write-heavy workloads (§8) ===")
         print(write_heavy.format_rows(rows))
-        for key, value in summary.items():
-            text = value if isinstance(value, bool) else f"{value:.3f}"
-            print(f"{key:>34}: {text}")
     # Restore latency is independent of the write share (instant cloning).
     assert summary["restore_spread"] < 1.2
     # Savings blunt monotonically: local share tracks the write share.

@@ -4,11 +4,11 @@ Paper: averages 72.2% / 23% / 4.8% across the ten functions; Init and
 Read-only dominate every function.
 """
 
-from repro.experiments import fig1_footprint
+from repro.experiments import fig1_footprint, run
 
 
 def test_fig1_footprint_breakdown(once, capsys):
-    rows = once(fig1_footprint.run, invocations=128)
+    rows = once(run, "fig1")
     with capsys.disabled():
         print("\n=== Figure 1: memory footprint breakdown ===")
         print(fig1_footprint.format_rows(rows))

@@ -10,34 +10,30 @@ CXLfork-MoW because the HighMem threshold blocks promotions.
 
 import pytest
 
-from repro.experiments import fig10_porter
+from repro.experiments import fig10_porter, run
 
 
 @pytest.fixture(scope="module")
 def ample_rows():
-    config = fig10_porter.Fig10Config(
+    config = fig10_porter.Config(
         total_rps=150, duration_s=15, memory_fractions=(1.0,)
     )
-    return fig10_porter.run(config)
+    return run("fig10", config)
 
 
 @pytest.fixture(scope="module")
 def constrained_rows():
-    config = fig10_porter.Fig10Config(
+    config = fig10_porter.Config(
         total_rps=100, duration_s=10, memory_fractions=(0.25,)
     )
-    return fig10_porter.run(config)
+    return run("fig10", config)
 
 
 def test_fig10_ample_memory(once, ample_rows, capsys):
-    summary = once(fig10_porter.summarize, ample_rows)
+    summary = once(fig10_porter.headline, ample_rows)
     with capsys.disabled():
         print("\n=== Figure 10a/b: ample memory ===")
-        print(fig10_porter.format_rows(
-            [r for r in ample_rows if r.function == "ALL"]
-        ))
-        for key, value in summary.items():
-            print(f"{key:>40}: {value:.3f}")
+        print(fig10_porter.format_rows(ample_rows))
 
     # P99: CXLfork clearly under CRIU (paper -70%) and at or under
     # CXLfork-MoW (dynamic tiering can only help).
@@ -53,15 +49,11 @@ def test_fig10_ample_memory(once, ample_rows, capsys):
 
 
 def test_fig10_memory_constrained(once, ample_rows, constrained_rows, capsys):
-    summary = once(fig10_porter.summarize, constrained_rows)
-    ample = fig10_porter.summarize(ample_rows)
+    summary = once(fig10_porter.headline, constrained_rows)
+    ample = fig10_porter.headline(ample_rows)
     with capsys.disabled():
         print("\n=== Figure 10c: 25% memory ===")
-        print(fig10_porter.format_rows(
-            [r for r in constrained_rows if r.function == "ALL"]
-        ))
-        for key, value in summary.items():
-            print(f"{key:>40}: {value:.3f}")
+        print(fig10_porter.format_rows(constrained_rows))
 
     # CXLfork's frugal children win big under pressure (paper: ~16x).
     assert summary["mem25_cxlfork_p99_vs_criu"] <= 0.5

@@ -4,14 +4,14 @@ Paper: CRIU's restore alone is ~2.7x the local fork + execution time with
 ~42x the local memory; Mitosis is ~2.6x end-to-end with ~24x memory.
 """
 
-from repro.experiments import fig3_motivation
+from repro.experiments import fig3_motivation, run
 
 
 def test_fig3_bert_motivation(once, capsys):
-    result = once(fig3_motivation.run)
+    result = once(run, "fig3")
     with capsys.disabled():
         print("\n=== Figure 3c: existing remote forks on BERT ===")
-        print(fig3_motivation.format_result(result))
+        print(fig3_motivation.format_rows(result))
     # Shape: just CRIU's restore dwarfs the whole local fork + execution.
     assert result.criu_restore_vs_localfork_total > 1.5
     # Shape: Mitosis is substantially slower end-to-end than a local fork.

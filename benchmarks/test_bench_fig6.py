@@ -5,16 +5,16 @@ container creation is ~130 ms and nearly constant across functions; a bare
 configured container holds only 512 KB.
 """
 
-from repro.experiments import fig6_coldstart
+from repro.experiments import fig6_coldstart, run
 from repro.faas.container import GHOST_CONTAINER_BYTES
 
 
 def test_fig6_coldstart_breakdown(once, capsys):
-    rows = once(fig6_coldstart.run)
+    rows = once(run, "fig6")
     with capsys.disabled():
         print("\n=== Figure 6: cold-start latency breakdown ===")
         print(fig6_coldstart.format_rows(rows))
-    summary = fig6_coldstart.summarize(rows)
+    summary = fig6_coldstart.headline(rows)
     # Container creation ~130 ms, with little variation across functions.
     assert 100 <= summary["container_create_ms_mean"] <= 160
     assert summary["container_create_ms_spread"] <= 10

@@ -6,18 +6,15 @@ than CRIU-CXL, ~1.40x faster than Mitosis-CXL, and ~11x faster than a cold
 start; it consumes ~13% of a cold start's local memory.
 """
 
-from repro.experiments import fig7_performance
+from repro.experiments import fig7_performance, run
 
 
 def test_fig7_cold_start_performance(once, capsys):
-    rows = once(fig7_performance.run)
-    summary = fig7_performance.summarize(rows)
+    rows = once(run, "fig7")
+    summary = fig7_performance.headline(rows)
     with capsys.disabled():
         print("\n=== Figure 7: cold-start execution and local memory ===")
         print(fig7_performance.format_rows(rows))
-        print()
-        for key, value in summary.items():
-            print(f"{key:>28}: {value:.3f}")
 
     # -- Fig. 7a latency shapes -------------------------------------------------
     # Cold start is an order of magnitude slower than CXLfork (paper ~11x).
@@ -51,8 +48,10 @@ def test_fig7_cold_start_performance(once, capsys):
 
 def test_fig7_page_fault_share_for_mitosis(once, capsys):
     """§7.1: Mitosis' lazy copies cost 42%/54% of BFS/Bert execution."""
-    rows = once(fig7_performance.run, functions=["bfs", "bert"],
-                mechanisms=("mitosis-cxl",))
+    config = fig7_performance.Config(
+        functions=("bfs", "bert"), mechanisms=("mitosis-cxl",)
+    )
+    rows = once(run, "fig7", config)
     for row in rows:
         share = row.fault_ms / row.total_ms
         with capsys.disabled():

@@ -6,19 +6,15 @@ warm time and memory for the cache-exceeding functions (BFS, Bert) while
 keeping cold time at or below MoA's.
 """
 
-from repro.experiments import fig8_tiering
+from repro.experiments import fig8_tiering, run
 
 
 def test_fig8_tiering_tradeoffs(once, capsys):
-    rows = once(fig8_tiering.run)
-    summary = fig8_tiering.summarize(rows)
+    rows = once(run, "fig8")
+    summary = fig8_tiering.headline(rows)
     with capsys.disabled():
         print("\n=== Figure 8: tiering policies ===")
         print(fig8_tiering.format_rows(rows))
-        print()
-        for key, value in summary.items():
-            text = value if isinstance(value, bool) else f"{value:.3f}"
-            print(f"{key:>24}: {text}")
 
     # MoA improves warm time modestly on average (paper ~11%).
     assert 0.85 <= summary["moa_warm_vs_mow"] <= 0.99
@@ -39,7 +35,7 @@ def test_fig8_tiering_tradeoffs(once, capsys):
 def test_fig8_mow_hurts_only_cache_exceeding_warm(once, capsys):
     """§7.1: most warm working sets fit the caches; only BFS and Bert
     suffer from read-only data living on the CXL tier."""
-    rows = once(fig8_tiering.run)
+    rows = once(run, "fig8")
     by_fn = {}
     for row in rows:
         by_fn.setdefault(row.function, {})[row.policy] = row

@@ -7,18 +7,15 @@ latency, CXLfork matches or beats a local fork because it attaches OS
 state and file mappings instead of rebuilding them.
 """
 
-from repro.experiments import fig9_sensitivity
+from repro.experiments import fig9_sensitivity, run
 
 
 def test_fig9_latency_sensitivity(once, capsys):
-    rows = once(fig9_sensitivity.run)
-    summary = fig9_sensitivity.summarize(rows)
+    rows = once(run, "fig9")
+    summary = fig9_sensitivity.headline(rows)
     with capsys.disabled():
         print("\n=== Figure 9: CXL latency sweep ===")
         print(fig9_sensitivity.format_rows(rows))
-        print()
-        for key, value in summary.items():
-            print(f"{key:>28}: {value:.3f}")
 
     # Warm sensitivity: big for BFS/Bert, negligible for the rest.
     for fn in ("bfs", "bert"):

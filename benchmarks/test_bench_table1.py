@@ -1,10 +1,10 @@
 """Table 1: the evaluation functions and their footprints."""
 
-from repro.experiments import table1
+from repro.experiments import run, table1
 
 
 def test_table1(once, capsys):
-    rows = once(table1.run)
+    rows = once(run, "table1")
     with capsys.disabled():
         print("\n=== Table 1: Serverless functions used in the evaluation ===")
         print(table1.format_rows(rows))

@@ -9,11 +9,13 @@ cache-exceeding functions (BFS, Bert) bend.
 Run:  python examples/latency_sensitivity.py
 """
 
+from repro import experiments
 from repro.experiments import fig9_sensitivity
 
 
 def main() -> None:
-    rows = fig9_sensitivity.run(functions=["float", "cnn", "bfs", "bert"])
+    config = fig9_sensitivity.Config(functions=("float", "cnn", "bfs", "bert"))
+    rows = experiments.run("fig9", config)
     print(fig9_sensitivity.format_rows(rows))
     print()
     print(fig9_sensitivity.chart(rows))

@@ -4,174 +4,80 @@ Usage::
 
     python -m repro list
     python -m repro run fig7
-    python -m repro run fig10 --fast
+    python -m repro run fig10 --quick
     python -m repro run fig7 --check
     python -m repro run fig7 --jobs 8
     python -m repro trace fig6 [-o trace.json] [--jsonl spans.jsonl]
     python -m repro report [--full] [-o report.md]
     python -m repro bench [--quick] [--update] [fig7 fig3 ...]
     python -m repro check [--seed 0] [--steps 60] [--scenarios 4]
+
+Every experiment comes from the registry in :mod:`repro.experiments`.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
-#: Experiment name -> (module path, description).
-EXPERIMENTS = {
-    "table1": ("repro.experiments.table1", "Table 1: evaluation functions"),
-    "fig1": ("repro.experiments.fig1_footprint", "Fig. 1: footprint breakdown"),
-    "fig3": ("repro.experiments.fig3_motivation", "Fig. 3c: motivation on BERT"),
-    "fig6": ("repro.experiments.fig6_coldstart", "Fig. 6: cold-start anatomy"),
-    "fig7": ("repro.experiments.fig7_performance", "Fig. 7: rfork performance"),
-    "fig8": ("repro.experiments.fig8_tiering", "Fig. 8: tiering policies"),
-    "fig9": ("repro.experiments.fig9_sensitivity", "Fig. 9: latency sweep"),
-    "fig10": ("repro.experiments.fig10_porter", "Fig. 10: CXLporter"),
-    "checkpoint": ("repro.experiments.checkpoint_perf", "§7.1: checkpoint perf"),
-    "failure": ("repro.experiments.failure", "Extension: node failure"),
-    "failure-sweep": (
-        "repro.experiments.failure_sweep",
-        "Extension: crash-timing sweep (survival, recovery, leak audit)",
-    ),
-    "corruption-sweep": (
-        "repro.experiments.corruption_sweep",
-        "Extension: RAS poison sweep (detection, repair ladder, wrong-bytes)",
-    ),
-    "scalability": ("repro.experiments.scalability", "Extension: bandwidth scaling"),
-    "keepalive": ("repro.experiments.keepalive_study", "Extension: keep-alive sweep"),
-    "density": (
-        "repro.experiments.density",
-        "Extension: instances per memory budget + cross-checkpoint dedup",
-    ),
-    "write-heavy": ("repro.experiments.write_heavy", "Extension: write-heavy workloads"),
-    "cluster-scale": (
-        "repro.experiments.cluster_scale",
-        "Extension: federated CXL pods vs one naive big pod (§8)",
-    ),
-}
-
-#: Experiments whose CLI accepts ``--seed`` (the rest are deterministic
-#: closed-form sweeps with nothing to reseed).
-SEED_AWARE = {"cluster-scale", "corruption-sweep", "failure-sweep", "fig10"}
-
-#: Experiments whose grid runs on the deterministic parallel executor
-#: (``repro.parallel``): ``--jobs N`` shards their sweep points across N
-#: shared-nothing worker processes with bit-identical merged results.
-JOBS_AWARE = {
-    "fig7", "fig10", "failure-sweep", "corruption-sweep", "cluster-scale",
-    "scalability", "density",
-}
+from repro import experiments
+from repro.experiments import REGISTRY
 
 
 def _cmd_list() -> int:
-    width = max(len(name) for name in EXPERIMENTS)
-    for name, (_, description) in EXPERIMENTS.items():
+    width = max(len(name) for name in REGISTRY)
+    for name, (_, description) in REGISTRY.items():
         print(f"{name:<{width}}  {description}")
     return 0
 
 
 def _cmd_run(
     name: str,
-    fast: bool,
+    quick: bool = False,
     check: bool = False,
     seed: int | None = None,
     jobs: int = 1,
 ) -> int:
-    if check:
-        from repro.check import CHECK
+    """Run one experiment, print it, and exit non-zero on any gate failure."""
+    from repro.check import CHECK
 
-        CHECK.reset()
-        CHECK.enable()
-        try:
-            status = _cmd_run(name, fast, check=False, seed=seed, jobs=jobs)
-        finally:
-            CHECK.disable()
-        print(f"\n[check] {CHECK.summary()}")
-        return status
-
-    entry = EXPERIMENTS.get(name)
-    if entry is None:
+    if name not in REGISTRY:
         print(f"unknown experiment {name!r}; `python -m repro list`",
               file=sys.stderr)
         return 2
-    if seed is not None and name not in SEED_AWARE:
-        print(f"experiment {name!r} does not take a seed "
-              f"(seed-aware: {', '.join(sorted(SEED_AWARE))})",
-              file=sys.stderr)
-        return 2
-    if jobs != 1 and name not in JOBS_AWARE:
-        print(f"experiment {name!r} does not shard over --jobs "
-              f"(jobs-aware: {', '.join(sorted(JOBS_AWARE))})",
-              file=sys.stderr)
-        return 2
+    module = experiments.load(name)
+    config = module.Config.quick() if quick else module.Config()
+    if seed is not None:
+        if "seed" not in {f.name for f in dataclasses.fields(config)}:
+            print(f"experiment {name!r} does not take a seed "
+                  "(its Config has no seed field)", file=sys.stderr)
+            return 2
+        config = dataclasses.replace(config, seed=seed)
     if jobs == 0:
         from repro.parallel import default_jobs
 
         jobs = default_jobs()
-    module_path, _ = entry
-    import importlib
-
-    module = importlib.import_module(module_path)
-    if name == "failure-sweep":
-        from repro.experiments import failure_sweep
-
-        argv = ["--quick"] if fast else []
-        if seed is not None:
-            argv += ["--seed", str(seed)]
-        if jobs != 1:
-            argv += ["--jobs", str(jobs)]
-        return failure_sweep.main(argv)
-    if name == "corruption-sweep":
-        from repro.experiments import corruption_sweep
-
-        argv = ["--quick"] if fast else []
-        if seed is not None:
-            argv += ["--seed", str(seed)]
-        if jobs != 1:
-            argv += ["--jobs", str(jobs)]
-        return corruption_sweep.main(argv)
-    if name == "cluster-scale":
-        from repro.experiments import cluster_scale
-
-        argv = ["--quick"] if fast else []
-        if seed is not None:
-            argv += ["--seed", str(seed)]
-        if jobs != 1:
-            argv += ["--jobs", str(jobs)]
-        return cluster_scale.main(argv)
-    if name == "density":
-        from repro.experiments import density
-
-        argv = ["--quick"] if fast else []
-        if jobs != 1:
-            argv += ["--jobs", str(jobs)]
-        return density.main(argv)
-    if name == "fig10":
-        from repro.experiments import fig10_porter
-
-        if not fast and seed is None:
-            module.main(jobs=jobs)
-            return 0
-        config = fig10_porter.Fig10Config(
-            **({"total_rps": 80, "duration_s": 8} if fast else {}),
-            **({"seed": seed} if seed is not None else {}),
-        )
-        rows = fig10_porter.run(config, jobs=jobs)
-        print(fig10_porter.format_rows([r for r in rows if r.function == "ALL"]))
-        for key, value in fig10_porter.summarize(rows).items():
-            print(f"{key:>40}: {value:.3f}")
-        return 0
-    if name in JOBS_AWARE:
-        module.main(jobs=jobs)
-        return 0
-    module.main()
-    return 0
+    if check:
+        CHECK.reset()
+        CHECK.enable()
+    try:
+        result = experiments.run(name, config, jobs=jobs)
+    finally:
+        if check:
+            CHECK.disable()
+    print(module.format_rows(result))
+    failures = module.gates(result)
+    for message in failures:
+        print(f"FAIL: {message}")
+    if check:
+        print(f"\n[check] {CHECK.summary()}")
+    return 1 if failures else 0
 
 
 def _cmd_trace(
     name: str,
-    fast: bool,
+    quick: bool,
     output: str | None,
     jsonl: str | None,
 ) -> int:
@@ -179,14 +85,14 @@ def _cmd_trace(
     from repro.analysis.report import format_phase_breakdown
     from repro.telemetry import TRACE, write_chrome_trace, write_jsonl
 
-    if name not in EXPERIMENTS:
+    if name not in REGISTRY:
         print(f"unknown experiment {name!r}; `python -m repro list`",
               file=sys.stderr)
         return 2
     TRACE.reset()
     TRACE.enable()
     try:
-        status = _cmd_run(name, fast)
+        status = _cmd_run(name, quick)
     finally:
         TRACE.disable()
     if status != 0:
@@ -206,7 +112,7 @@ def _cmd_trace(
 def _cmd_report(full: bool, output: str | None) -> int:
     from repro.analysis.report import generate_report
 
-    text = generate_report(fast=not full)
+    text = generate_report(quick=not full)
     if output:
         with open(output, "w") as handle:
             handle.write(text)
@@ -237,13 +143,13 @@ def main(argv=None) -> int:
     sub.add_parser("list", help="list available experiments")
     run_parser = sub.add_parser("run", help="run one experiment")
     run_parser.add_argument("experiment", help="experiment name (see `list`)")
-    run_parser.add_argument("--fast", action="store_true",
-                            help="reduced scale where supported")
+    run_parser.add_argument("--quick", action="store_true",
+                            help="the experiment's quick shape")
     run_parser.add_argument("--check", action="store_true",
                             help="run under the repro.check differential "
                                  "oracle + invariant checker")
     run_parser.add_argument("--seed", type=int, default=None,
-                            help="trace seed (seed-aware experiments only)")
+                            help="seed (experiments whose Config has one)")
     run_parser.add_argument("--jobs", type=int, default=1,
                             help="worker processes for sweep grids "
                                  "(0 = one per CPU; results are "
@@ -252,8 +158,8 @@ def main(argv=None) -> int:
         "trace", help="run one experiment under tracing; export a trace file"
     )
     trace_parser.add_argument("experiment", help="experiment name (see `list`)")
-    trace_parser.add_argument("--fast", action="store_true",
-                              help="reduced scale where supported")
+    trace_parser.add_argument("--quick", action="store_true",
+                              help="the experiment's quick shape")
     trace_parser.add_argument("-o", "--output", default=None,
                               help="Chrome trace-event JSON path "
                                    "(default: trace-<experiment>.json)")
@@ -278,10 +184,10 @@ def main(argv=None) -> int:
         return _cmd_list()
     if args.command == "run":
         return _cmd_run(
-            args.experiment, args.fast, args.check, args.seed, args.jobs
+            args.experiment, args.quick, args.check, args.seed, args.jobs
         )
     if args.command == "trace":
-        return _cmd_trace(args.experiment, args.fast, args.output, args.jsonl)
+        return _cmd_trace(args.experiment, args.quick, args.output, args.jsonl)
     if args.command == "report":
         return _cmd_report(args.full, args.output)
     raise AssertionError("unreachable")

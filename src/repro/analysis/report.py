@@ -1,8 +1,8 @@
 """One-shot reproduction report.
 
-``generate_report()`` runs every experiment (optionally at reduced scale)
-and emits a markdown document with the measured tables and headline
-ratios — the machine-generated companion to the hand-annotated
+``generate_report()`` runs every registered experiment (in its quick or
+full shape) and emits a markdown document with the measured tables and
+headline ratios — the machine-generated companion to the hand-annotated
 EXPERIMENTS.md.
 """
 
@@ -61,111 +61,25 @@ def format_ras_counters(tracer=None) -> str:
     return "\n".join(lines)
 
 
-def generate_report(
-    *,
-    fast: bool = False,
-    include_porter: bool = True,
-    include_extensions: bool = True,
-) -> str:
-    """Run the experiment suite and return a markdown report.
+def generate_report(*, quick: bool = True) -> str:
+    """Run every registered experiment and return a markdown report.
 
-    ``fast`` restricts sweeps to representative functions so the whole
-    report builds in roughly a minute; the full report takes several.
+    ``quick`` runs each experiment's ``Config.quick()`` shape, so the whole
+    report builds in minutes; ``quick=False`` runs the full shapes.
     """
-    from repro.experiments import (
-        checkpoint_perf,
-        fig1_footprint,
-        fig3_motivation,
-        fig6_coldstart,
-        fig7_performance,
-        fig8_tiering,
-        fig9_sensitivity,
-        table1,
-    )
+    from repro import experiments
 
-    subset = ["float", "json", "bfs", "bert"] if fast else None
     out = io.StringIO()
     started = time.time()
     out.write("# CXLfork reproduction report (generated)\n")
-
-    _section(out, "Table 1 — evaluation functions")
-    out.write("```\n" + table1.format_rows(table1.run()) + "\n```\n")
-
-    _section(out, "Figure 1 — footprint breakdown")
-    rows = fig1_footprint.run(subset, invocations=32 if fast else 128)
-    out.write("```\n" + fig1_footprint.format_rows(rows) + "\n```\n")
-
-    _section(out, "Figure 3c — motivation (BERT)")
-    out.write("```\n" + fig3_motivation.format_result(fig3_motivation.run()) + "\n```\n")
-
-    _section(out, "Figure 6 — cold-start anatomy")
-    out.write("```\n" + fig6_coldstart.format_rows(fig6_coldstart.run(subset)) + "\n```\n")
-
-    _section(out, "Figure 7 — remote-fork performance and memory")
-    rows = fig7_performance.run(subset)
-    out.write("```\n" + fig7_performance.format_rows(rows) + "\n```\n\n")
-    for key, value in fig7_performance.summarize(rows).items():
-        out.write(f"* `{key}` = {value:.3f}\n")
-
-    _section(out, "Figure 8 — tiering policies")
-    rows = fig8_tiering.run(subset)
-    out.write("```\n" + fig8_tiering.format_rows(rows) + "\n```\n\n")
-    for key, value in fig8_tiering.summarize(rows).items():
-        text = value if isinstance(value, bool) else f"{value:.3f}"
-        out.write(f"* `{key}` = {text}\n")
-
-    _section(out, "Figure 9 — CXL latency sensitivity")
-    rows = fig9_sensitivity.run(
-        functions=["float", "bert"] if fast else None,
-        latencies=[400.0, 100.0] if fast else None,
-    )
-    out.write("```\n" + fig9_sensitivity.format_rows(rows) + "\n```\n")
-
-    _section(out, "Checkpoint performance (§7.1)")
-    rows = checkpoint_perf.run(subset)
-    out.write("```\n" + checkpoint_perf.format_rows(rows) + "\n```\n\n")
-    for key, value in checkpoint_perf.summarize(rows).items():
-        out.write(f"* `{key}` = {value:.2f}\n")
-
-    if include_porter:
-        from repro.experiments import fig10_porter
-
-        _section(out, "Figure 10 — CXLporter")
-        config = fig10_porter.Fig10Config(
-            total_rps=80 if fast else 150,
-            duration_s=8 if fast else 15,
-            memory_fractions=(1.0,) if fast else (1.0, 0.25),
-        )
-        rows = fig10_porter.run(config)
-        out.write(
-            "```\n"
-            + fig10_porter.format_rows([r for r in rows if r.function == "ALL"])
-            + "\n```\n\n"
-        )
-        for key, value in fig10_porter.summarize(rows).items():
-            out.write(f"* `{key}` = {value:.3f}\n")
-
-    if include_extensions:
-        from repro.experiments import failure, scalability
-
-        _section(out, "Extension — node-failure survival")
-        out.write("```\n" + failure.format_rows(failure.run()) + "\n```\n")
-
-        _section(out, "Extension — bandwidth-aware scaling")
-        rows = scalability.run(node_counts=(2, 8) if fast else (2, 4, 8, 16))
-        out.write("```\n" + scalability.format_rows(rows) + "\n```\n")
-
+    for name, (_, description) in experiments.REGISTRY.items():
+        module = experiments.load(name)
+        config = module.Config.quick() if quick else module.Config()
+        result = experiments.run(name, config)
+        _section(out, f"{description} (`{name}`)")
+        out.write("```\n" + module.format_rows(result) + "\n```\n")
+        for message in module.gates(result):
+            out.write(f"\n**Gate failed:** {message}\n")
     elapsed = time.time() - started
     out.write(f"\n---\n*Report generated in {elapsed:.0f} s of wall time.*\n")
     return out.getvalue()
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    import sys
-
-    fast = "--full" not in sys.argv
-    print(generate_report(fast=fast))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -16,9 +16,12 @@ committed baseline::
 
 Baselines live in ``benchmarks/baselines/BENCH_<exp>.json`` with the
 full-mode ``{wall_s, host_calls, sim_results_digest}`` at top level and the
-quick-mode triple under ``"quick"``.  Digest mismatches always fail; wall
-time fails only in full mode when it exceeds ``baseline * (1 + tolerance)``
-(quick mode is meant for CI, where wall clocks are too noisy to gate on).
+quick-mode triple under ``"quick"``.  Any experiment in the
+:mod:`repro.experiments` registry can be benched, in the shapes its
+``Config()`` / ``Config.quick()`` define.  Digest mismatches and the
+experiment's own ``gates()`` always fail; wall time fails only in full
+mode when it exceeds ``baseline * (1 + tolerance)`` (quick mode is meant
+for CI, where wall clocks are too noisy to gate on).
 """
 
 from __future__ import annotations
@@ -32,168 +35,10 @@ from hashlib import sha256
 from pathlib import Path
 from typing import Any, Callable, Optional
 
+from repro import experiments
+
 #: Default headroom before a full-mode wall-time comparison fails.
 DEFAULT_TOLERANCE = 0.5
-
-#: Quick-mode subset for fig7 (two functions spanning tiny and mid-size
-#: working sets; full mode runs all ten Table-1 functions).
-FIG7_QUICK_FUNCTIONS = ["float", "json"]
-
-
-@dataclasses.dataclass
-class BenchSpec:
-    """How to run one experiment under the harness.
-
-    Runners take the worker-process count (``jobs``); experiments whose
-    grid has been refactored onto :mod:`repro.parallel` fan sweep points
-    out to that many shared-nothing workers, the rest ignore it
-    (``parallel=False``) and always run serially.
-    """
-
-    name: str
-    description: str
-    run_full: Callable[[int], Any]
-    run_quick: Callable[[int], Any]
-    parallel: bool = True
-
-
-def _fig7_full(jobs: int) -> Any:
-    from repro.experiments import fig7_performance
-
-    return fig7_performance.run(jobs=jobs)
-
-
-def _fig7_quick(jobs: int) -> Any:
-    from repro.experiments import fig7_performance
-
-    return fig7_performance.run(functions=FIG7_QUICK_FUNCTIONS, jobs=jobs)
-
-
-def _fig3(jobs: int) -> Any:  # noqa: ARG001 - single cell, nothing to shard
-    from repro.experiments import fig3_motivation
-
-    return fig3_motivation.run()
-
-
-def _fig10(total_rps: float, duration_s: float, jobs: int) -> Any:
-    from repro.experiments import fig10_porter
-
-    config = fig10_porter.Fig10Config(total_rps=total_rps, duration_s=duration_s)
-    return fig10_porter.run(config, jobs=jobs)
-
-
-def _failure_sweep(quick: bool, jobs: int) -> Any:
-    from repro.experiments import failure_sweep
-
-    rows = failure_sweep.run(quick=quick, seed=0, jobs=jobs)
-    leaked = sum(r.leaked_frames for r in rows)
-    if leaked:
-        raise RuntimeError(f"failure sweep leaked {leaked} frames")
-    return rows
-
-
-def _corruption(quick: bool, jobs: int) -> Any:
-    from repro.experiments import corruption_sweep
-
-    rows = corruption_sweep.run(quick=quick, seed=0, jobs=jobs)
-    leaked = sum(r.leaked_frames for r in rows)
-    if leaked:
-        raise RuntimeError(f"corruption sweep leaked {leaked} frames")
-    wrong_on = sum(r.wrong_bytes for r in rows if r.checksums)
-    if wrong_on:
-        raise RuntimeError(
-            f"corruption sweep served {wrong_on} corrupt bytes with checksums on"
-        )
-    return rows
-
-
-def _cluster(quick: bool, jobs: int) -> Any:
-    from repro.experiments import cluster_scale
-
-    config = (
-        cluster_scale.ClusterScaleConfig.quick()
-        if quick
-        else cluster_scale.ClusterScaleConfig()
-    )
-    rows = cluster_scale.run(config, jobs=jobs)
-    # Digest the summary too: the committed baseline then *records* the
-    # federated-vs-single-pod verdict, and any change to it fails bench.
-    return {"rows": rows, "summary": cluster_scale.summarize(rows)}
-
-
-def _density(quick: bool, jobs: int) -> Any:
-    from repro.experiments import density
-
-    rows = density.run_cross(quick=quick, jobs=jobs)
-    dirty = [r for r in rows if not r.audit_clean]
-    if dirty:
-        raise RuntimeError(
-            f"density cross sweep: {len(dirty)} row(s) failed the pod audit"
-        )
-    summary = density.summarize_cross(rows)
-    # The committed baseline *records* dedup's win; these gates make a
-    # regression (dedup stops sharing, delta stops saving) a hard failure
-    # rather than a silently drifting number.
-    for fn in sorted({r.function for r in rows}):
-        gain = summary[f"{fn}_density_gain"]
-        if gain <= 1.0:
-            raise RuntimeError(
-                "density cross sweep: dedup did not improve instances-per-GB "
-                f"for {fn} (gain {gain:.3f}x)"
-            )
-        if summary[f"{fn}_wire_delta_mb"] >= summary[f"{fn}_wire_full_mb"]:
-            raise RuntimeError(
-                "density cross sweep: delta replication did not save wire "
-                f"bytes for {fn}"
-            )
-    return {"rows": rows, "summary": summary}
-
-
-BENCH_EXPERIMENTS: dict[str, BenchSpec] = {
-    "fig7": BenchSpec(
-        name="fig7",
-        description="Fig. 7 rfork performance (the hottest simulator path)",
-        run_full=_fig7_full,
-        run_quick=_fig7_quick,
-    ),
-    "fig3": BenchSpec(
-        name="fig3",
-        description="Fig. 3c motivation (BERT checkpoint scans)",
-        run_full=_fig3,
-        run_quick=_fig3,
-        parallel=False,
-    ),
-    "fig10": BenchSpec(
-        name="fig10",
-        description="Fig. 10 CXLporter (scheduler + invocation engine)",
-        run_full=lambda jobs: _fig10(80.0, 8.0, jobs),
-        run_quick=lambda jobs: _fig10(40.0, 4.0, jobs),
-    ),
-    "failure-sweep": BenchSpec(
-        name="failure-sweep",
-        description="Crash-timing sweep (fault injection + leak audit)",
-        run_full=lambda jobs: _failure_sweep(False, jobs),
-        run_quick=lambda jobs: _failure_sweep(True, jobs),
-    ),
-    "corruption": BenchSpec(
-        name="corruption",
-        description="RAS poison sweep (checksums, repair ladder, containment)",
-        run_full=lambda jobs: _corruption(False, jobs),
-        run_quick=lambda jobs: _corruption(True, jobs),
-    ),
-    "cluster": BenchSpec(
-        name="cluster",
-        description="Federated pods vs one naive big pod (router + replication)",
-        run_full=lambda jobs: _cluster(False, jobs),
-        run_quick=lambda jobs: _cluster(True, jobs),
-    ),
-    "density": BenchSpec(
-        name="density",
-        description="Cross-checkpoint dedup (instances-per-GB + delta wire bytes)",
-        run_full=lambda jobs: _density(False, jobs),
-        run_quick=lambda jobs: _density(True, jobs),
-    ),
-}
 
 
 # -- digesting -----------------------------------------------------------------
@@ -262,6 +107,8 @@ class BenchResult:
     sim_results_digest: str
     #: Worker processes used for the timed run (1 = serial reference path).
     jobs: int = 1
+    #: The experiment's ``gates()`` messages for this result (empty = pass).
+    gate_failures: list = dataclasses.field(default_factory=list)
 
     def to_entry(self) -> dict:
         return {
@@ -279,22 +126,21 @@ def run_bench(
     count_calls: bool = True,
     jobs: int = 1,
 ) -> BenchResult:
-    """Time one experiment and digest its simulated results.
+    """Time one experiment, digest its simulated results, apply its gates.
 
     The timed run is unprofiled (wall_s measures the real cost) and uses
-    ``jobs`` worker processes for experiments on the parallel executor; in
-    full mode a second, **always-serial** run under a call-counting
-    profiler records ``host_calls`` — a noise-free proxy for host work
-    that survives both machine changes and worker-count changes.  When the
-    timed run was parallel, that serial recount doubles as a
-    parallel-vs-serial digest cross-check: a scheduling-order leak into
-    simulated results is a hard failure, not noise.
+    ``jobs`` worker processes; in full mode a second, **always-serial** run
+    under a call-counting profiler records ``host_calls`` — a noise-free
+    proxy for host work that survives both machine changes and
+    worker-count changes.  When the timed run was parallel, that serial
+    recount doubles as a parallel-vs-serial digest cross-check: a
+    scheduling-order leak into simulated results is a hard failure, not
+    noise.
     """
-    spec = BENCH_EXPERIMENTS[name]
-    runner = spec.run_quick if quick else spec.run_full
-    effective_jobs = jobs if spec.parallel else 1
+    module = experiments.load(name)
+    config = module.Config.quick() if quick else module.Config()
     t0 = time.perf_counter()
-    result = runner(effective_jobs)
+    result = experiments.run(name, config, jobs=jobs)
     wall_s = time.perf_counter() - t0
     digest = results_digest(result)
     host_calls: Optional[int] = None
@@ -302,12 +148,14 @@ def run_bench(
         # host_calls is counted on a serial (jobs=1) run: profiling only
         # sees the coordinating process, so a parallel count would be a
         # meaningless fraction of the real work.
-        host_calls, recount = _count_host_calls(lambda: runner(1))
+        host_calls, recount = _count_host_calls(
+            lambda: experiments.run(name, config, jobs=1)
+        )
         redigest = results_digest(recount)
         if redigest != digest:
             flavor = (
                 "parallel vs serial simulated results diverged"
-                if effective_jobs > 1
+                if jobs > 1
                 else "non-deterministic simulated results"
             )
             raise RuntimeError(
@@ -321,7 +169,8 @@ def run_bench(
         wall_s=wall_s,
         host_calls=host_calls,
         sim_results_digest=digest,
-        jobs=effective_jobs,
+        jobs=jobs,
+        gate_failures=module.gates(result),
     )
 
 
@@ -350,7 +199,7 @@ def sync_root_copies(
     """
     root = root if root is not None else repo_root()
     written = []
-    for name in names if names is not None else sorted(BENCH_EXPERIMENTS):
+    for name in names if names is not None else sorted(experiments.REGISTRY):
         source = baseline_path(name, baseline_dir)
         if not source.exists():
             continue
@@ -374,7 +223,7 @@ def check_root_copies(
     """
     root = root if root is not None else repo_root()
     drifted = []
-    for name in names if names is not None else sorted(BENCH_EXPERIMENTS):
+    for name in names if names is not None else sorted(experiments.REGISTRY):
         source = baseline_path(name, baseline_dir)
         if not source.exists():
             continue
@@ -454,7 +303,11 @@ class Comparison:
 
     @property
     def ok(self) -> bool:
-        return self.digest_ok and (self.wall_ok or not self.wall_gated)
+        return (
+            self.digest_ok
+            and (self.wall_ok or not self.wall_gated)
+            and not self.result.gate_failures
+        )
 
     def describe(self) -> str:
         r = self.result
@@ -465,6 +318,7 @@ class Comparison:
         if r.host_calls is not None:
             lines[0] += f", {r.host_calls:,} host calls"
         lines[0] += f", digest {r.sim_results_digest[:12]}"
+        lines.extend(f"  gate: FAIL — {message}" for message in r.gate_failures)
         if entry is None:
             lines.append("  no baseline (run with --update to create one)")
             return "\n".join(lines)
@@ -530,7 +384,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument(
         "experiments",
         nargs="*",
-        help=f"experiments to benchmark (default: all of {sorted(BENCH_EXPERIMENTS)})",
+        help="experiments to benchmark (default: every one with a baseline)",
     )
     parser.add_argument(
         "--quick",
@@ -590,15 +444,18 @@ def main(argv: Optional[list[str]] = None) -> int:
         os.environ["REPRO_RESTORE_PLAN"] = "0"
         RESTORE_PLAN.reset()
 
-    names = args.experiments or sorted(BENCH_EXPERIMENTS)
-    unknown = [n for n in names if n not in BENCH_EXPERIMENTS]
+    baseline_dir = Path(args.baseline_dir) if args.baseline_dir else None
+    names = args.experiments or [
+        name for name in sorted(experiments.REGISTRY)
+        if baseline_path(name, baseline_dir).exists()
+    ]
+    unknown = [n for n in names if n not in experiments.REGISTRY]
     if unknown:
         print(
-            f"unknown experiment(s) {unknown}; known: {sorted(BENCH_EXPERIMENTS)}",
+            f"unknown experiment(s) {unknown}; known: {sorted(experiments.REGISTRY)}",
             file=sys.stderr,
         )
         return 2
-    baseline_dir = Path(args.baseline_dir) if args.baseline_dir else None
     if args.jobs < 0:
         print("--jobs must be >= 0", file=sys.stderr)
         return 2
@@ -627,6 +484,11 @@ def main(argv: Optional[list[str]] = None) -> int:
                 name, quick=False, count_calls=not args.no_calls, jobs=jobs
             )
             quick = run_bench(name, quick=True, jobs=jobs)
+            failures = full.gate_failures + quick.gate_failures
+            if failures:
+                print(f"{name}: not updated, gates failed: {failures}",
+                      file=sys.stderr)
+                return 1
             path = write_baseline(name, full, quick, baseline_dir)
             print(f"{name}: wrote {path} (wall {full.wall_s:.2f}s, "
                   f"jobs {full.jobs}, digest {full.sim_results_digest[:12]})")
@@ -649,9 +511,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 
 __all__ = [
-    "BENCH_EXPERIMENTS",
     "BenchResult",
-    "BenchSpec",
     "Comparison",
     "check_root_copies",
     "compare_to_baseline",

@@ -45,6 +45,14 @@ class CheckStats:
     violations: int = 0
     failures: list = field(default_factory=list)
 
+    def merge(self, other: "CheckStats") -> None:
+        """Add another session's counters (e.g. one sweep point's) to these."""
+        self.oracle_runs += other.oracle_runs
+        self.invariant_runs += other.invariant_runs
+        self.divergences += other.divergences
+        self.violations += other.violations
+        self.failures.extend(other.failures)
+
 
 class CheckRuntime:
     """Process-global switch for the correctness checkers.
@@ -79,7 +87,12 @@ class CheckRuntime:
 
     def summary(self) -> str:
         s = self.stats
-        status = "clean" if not s.failures else f"{len(s.failures)} FAILURE(S)"
+        if s.failures:
+            status = f"{len(s.failures)} FAILURE(S)"
+        elif s.oracle_runs or s.invariant_runs:
+            status = "clean"
+        else:
+            status = "NOTHING CHECKED"
         return (
             f"check: {s.oracle_runs} oracle run(s), "
             f"{s.invariant_runs} invariant sweep(s), "

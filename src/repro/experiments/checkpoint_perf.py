@@ -11,8 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.analysis.tables import format_summary
 from repro.experiments.common import geometric_mean, make_pod, prepare_parent
 from repro.faas.functions import function_names
+from repro.parallel import SweepPoint
 from repro.rfork.registry import get_mechanism
 from repro.sim.units import MIB, MS
 
@@ -31,29 +33,52 @@ class CheckpointRow:
     serialized_mb: float
 
 
-def run(functions: Optional[list] = None) -> list:
-    rows: list[CheckpointRow] = []
-    names = functions if functions is not None else function_names()
-    for fn in names:
-        for mech_name in CHECKPOINTERS:
-            pod = make_pod()
-            parent = prepare_parent(pod, fn)
-            mech = get_mechanism(mech_name, fabric=pod.fabric, cxlfs=pod.cxlfs)
-            _, metrics = mech.checkpoint(parent.instance.task)
-            rows.append(
-                CheckpointRow(
-                    function=fn,
-                    mechanism=mech_name,
-                    latency_ms=metrics.latency_ns / MS,
-                    cxl_mb=metrics.cxl_bytes / MIB,
-                    local_shadow_mb=metrics.local_shadow_bytes / MIB,
-                    serialized_mb=metrics.serialized_bytes / MIB,
-                )
-            )
+@dataclass(frozen=True)
+class Config:
+    """Which functions to checkpoint (None = all of Table 1)."""
+
+    functions: Optional[tuple] = None
+
+    @classmethod
+    def quick(cls) -> "Config":
+        return cls(functions=("float", "json", "bfs", "bert"))
+
+
+def points(config: Config) -> list:
+    names = config.functions or function_names()
+    return [
+        SweepPoint.make("checkpoint", function=fn, mechanism=mech)
+        for fn in names
+        for mech in CHECKPOINTERS
+    ]
+
+
+def run_point(point: SweepPoint) -> CheckpointRow:
+    """Checkpoint one seasoned function with one mechanism, fresh pod."""
+    mech_name = point.param("mechanism")
+    pod = make_pod()
+    parent = prepare_parent(pod, point.param("function"))
+    mech = get_mechanism(mech_name, fabric=pod.fabric, cxlfs=pod.cxlfs)
+    _, metrics = mech.checkpoint(parent.instance.task)
+    return CheckpointRow(
+        function=point.param("function"),
+        mechanism=mech_name,
+        latency_ms=metrics.latency_ns / MS,
+        cxl_mb=metrics.cxl_bytes / MIB,
+        local_shadow_mb=metrics.local_shadow_bytes / MIB,
+        serialized_mb=metrics.serialized_bytes / MIB,
+    )
+
+
+def summarize(rows: list) -> list:
     return rows
 
 
-def summarize(rows: list) -> dict:
+def gates(rows: list) -> list:
+    return []
+
+
+def headline(rows: list) -> dict:
     by_fn: dict[str, dict[str, CheckpointRow]] = {}
     for row in rows:
         by_fn.setdefault(row.function, {})[row.mechanism] = row
@@ -84,16 +109,4 @@ def format_rows(rows: list) -> str:
             f"{row.cxl_mb:>9.1f} {row.local_shadow_mb:>11.1f} "
             f"{row.serialized_mb:>15.3f}"
         )
-    return "\n".join(lines)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    rows = run()
-    print(format_rows(rows))
-    print()
-    for key, value in summarize(rows).items():
-        print(f"{key:>22}: {value:.2f}")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+    return "\n".join(lines) + "\n\n" + format_summary(headline(rows))

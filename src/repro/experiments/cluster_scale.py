@@ -26,16 +26,16 @@ cluster of CXL pods beats one giant pod.
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.analysis.tables import format_summary
 from repro.cluster import ClusterRouter, RouterConfig, build_federation
 from repro.cxl.bandwidth import BandwidthTracker
 from repro.cxl.topology import PodTopology
 from repro.faas.traces import TraceConfig, generate_trace
 from repro.os.fs.cxlfs import CxlFileSystem
-from repro.parallel import SweepPoint, run_points
+from repro.parallel import SweepPoint
 from repro.porter.autoscaler import CxlPorter, PorterConfig
 from repro.sim.units import GIB
 
@@ -79,15 +79,18 @@ class ClusterScaleConfig:
     burst_mean_s: float = 1.5
 
     @classmethod
-    def quick(cls, seed: int = 42) -> "ClusterScaleConfig":
-        """The CI/--fast shape: 2 pods, 2 RPS points, tiny functions."""
+    def quick(cls) -> "ClusterScaleConfig":
+        """The quick shape: 2 pods, 2 RPS points, tiny functions."""
         return cls(
             pod_count=2,
             rps_list=(20.0, 80.0),
             duration_s=2.0,
-            seed=seed,
             functions=("float", "json"),
         )
+
+
+#: The experiment protocol's name for this module's config.
+Config = ClusterScaleConfig
 
 
 @dataclass
@@ -245,12 +248,17 @@ def run_point(point: SweepPoint) -> ClusterScaleRow:
     return run_federated(config, rps)
 
 
-def run(config: Optional[ClusterScaleConfig] = None, *, jobs: int = 1) -> list:
-    config = config or ClusterScaleConfig()
-    return run_points(points(config), run_point, jobs=jobs)
-
-
 def summarize(rows: list) -> dict:
+    """The rows plus their headline, so the bench digest records the
+    federated-vs-single-pod verdict and any change to it fails bench."""
+    return {"rows": rows, "summary": headline(rows)}
+
+
+def gates(result: dict) -> list:
+    return []
+
+
+def headline(rows: list) -> dict:
     """Federated-vs-single ratios per RPS + the headline at peak load."""
     summary: dict = {}
     by_rps: dict[float, dict] = {}
@@ -282,13 +290,13 @@ def summarize(rows: list) -> dict:
     return summary
 
 
-def format_rows(rows: list) -> str:
+def format_rows(result: dict) -> str:
     lines = [
         f"{'arm':<11} {'pods':>4} {'n/pod':>5} {'rps':>5} {'p50(ms)':>8} "
         f"{'p99(ms)':>8} {'cold-p99':>9} {'n':>5} {'fail':>4} "
         f"{'pulls':>5} {'wire(MB)':>8}"
     ]
-    for row in rows:
+    for row in result["rows"]:
         cold = f"{row.cold_p99_ms:.1f}" if row.cold_p99_ms is not None else "-"
         lines.append(
             f"{row.arm:<11} {row.pods:>4} {row.nodes_per_pod:>5} "
@@ -296,46 +304,4 @@ def format_rows(rows: list) -> str:
             f"{cold:>9} {row.requests:>5} {row.failed:>4} "
             f"{row.pulls:>5} {row.interconnect_mb:>8.1f}"
         )
-    return "\n".join(lines)
-
-
-def main(argv: Optional[list] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro run cluster-scale",
-        description="Federated CXL pods vs one naive big pod.",
-    )
-    parser.add_argument(
-        "--quick", "--fast", action="store_true", dest="quick",
-        help="reduced scale (2 pods, 2 RPS points, small functions)",
-    )
-    parser.add_argument("--seed", type=int, default=42, help="trace seed")
-    parser.add_argument(
-        "--pods", type=int, default=None, help="override the pod count"
-    )
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes (results identical to 1)")
-    args = parser.parse_args(argv)
-
-    config = (
-        ClusterScaleConfig.quick(seed=args.seed)
-        if args.quick
-        else ClusterScaleConfig(seed=args.seed)
-    )
-    if args.pods is not None:
-        config.pod_count = args.pods
-    rows = run(config, jobs=args.jobs)
-    print(format_rows(rows))
-    print()
-    for key, value in summarize(rows).items():
-        if isinstance(value, float):
-            print(f"{key:>36}: {value:.3f}")
-        else:
-            print(f"{key:>36}: {value}")
-    from repro.bench import results_digest
-
-    print(f"\nresults digest: {results_digest(rows)}")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+    return "\n".join(lines) + "\n\n" + format_summary(result["summary"])

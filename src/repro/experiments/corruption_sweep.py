@@ -16,23 +16,22 @@ fraction of the image's CXL frames, then serves a fork from the image:
 Every cell also audits the pod for leaked frames (poison containment
 must not break refcount accounting; offlined frames are an explicit
 owner class, not a leak).  Rows are bit-identical for a given seed and
-for any ``--jobs`` value (the bench harness digests them), and the CLI
-exits nonzero on leaks or on wrong bytes in a checksums-on cell::
+for any ``--jobs`` value (the bench harness digests them), and
+:func:`gates` fails the run on leaks, on wrong bytes in a checksums-on
+cell, or on a checksums-off control that served no wrong bytes::
 
-    PYTHONPATH=src python -m repro.experiments.corruption_sweep --quick
-    PYTHONPATH=src python -m repro run corruption-sweep --fast
+    PYTHONPATH=src python -m repro run corruption-sweep --quick
 """
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.exceptions import PoisonError
 from repro.experiments.common import Pod, PreparedParent, make_pod, prepare_parent
 from repro.faults import FaultInjector, audit_pod
-from repro.parallel import SweepPoint, run_points
+from repro.parallel import SweepPoint
 from repro.ras import RAS, checkpoint_frames
 from repro.ras.repair import Repairer
 from repro.rfork.registry import get_mechanism
@@ -206,16 +205,28 @@ def _run_cell(
     )
 
 
-def points(
-    function: str = "json",
-    *,
-    quick: bool = False,
-    seed: int = 0,
-) -> list:
+@dataclass(frozen=True)
+class Config:
+    """The grid: function, seed, and full or quick rates/policies/trials."""
+
+    function: str = "json"
+    seed: int = 0
+    full: bool = True
+
+    @classmethod
+    def quick(cls) -> "Config":
+        return cls(full=False)
+
+
+def points(config: Config) -> list:
     """The grid: mechanisms × rates × policies, plus checksums-off controls."""
-    rates = QUICK_RATES if quick else FULL_RATES
-    policies = QUICK_POLICIES if quick else FULL_POLICIES
-    trials = QUICK_TRIALS if quick else FULL_TRIALS
+    rates = FULL_RATES if config.full else QUICK_RATES
+    policies = FULL_POLICIES if config.full else QUICK_POLICIES
+    cell = dict(
+        function=config.function,
+        seed=config.seed,
+        trials=FULL_TRIALS if config.full else QUICK_TRIALS,
+    )
     grid = []
     for mech_name in MECHANISMS:
         for rate in rates:
@@ -227,9 +238,7 @@ def points(
                         rate=rate,
                         policy=policy,
                         checksums=True,
-                        function=function,
-                        seed=seed,
-                        trials=trials,
+                        **cell,
                     )
                 )
             # Control: same corruption, verification off — must serve
@@ -241,9 +250,7 @@ def points(
                     rate=rate,
                     policy="none",
                     checksums=False,
-                    function=function,
-                    seed=seed,
-                    trials=trials,
+                    **cell,
                 )
             )
     return grid
@@ -262,15 +269,27 @@ def run_point(point: SweepPoint) -> SweepRow:
     )
 
 
-def run(
-    function: str = "json",
-    *,
-    quick: bool = False,
-    seed: int = 0,
-    jobs: int = 1,
-) -> list:
-    grid = points(function, quick=quick, seed=seed)
-    return run_points(grid, run_point, jobs=jobs)
+def summarize(rows: list) -> list:
+    return rows
+
+
+def gates(rows: list) -> list:
+    """No leaks; no wrong bytes with checksums on; some with them off."""
+    failures = []
+    leaked = sum(r.leaked_frames for r in rows)
+    if leaked:
+        failures.append(f"corruption sweep leaked {leaked} frames")
+    wrong_on = sum(r.wrong_bytes for r in rows if r.checksums)
+    if wrong_on:
+        failures.append(
+            f"corruption sweep served {wrong_on} corrupt bytes with checksums on"
+        )
+    if not sum(r.wrong_bytes for r in rows if not r.checksums):
+        failures.append(
+            "checksums-off control served no corrupt bytes: "
+            "the sweep does not show the detector doing the work"
+        )
+    return failures
 
 
 def format_rows(rows: list) -> str:
@@ -311,35 +330,3 @@ def format_rows(rows: list) -> str:
     total_leaked = sum(r.leaked_frames for r in rows)
     lines.append(f"total leaked frames: {total_leaked} (must be 0)")
     return "\n".join(lines)
-
-
-def main(argv: Optional[list] = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Poison-injection sweep: detection, containment, repair; "
-        "exits nonzero on leaked frames or wrong bytes under checksums."
-    )
-    parser.add_argument("--function", default="json")
-    parser.add_argument("--quick", action="store_true",
-                        help="fewer rates/policies/trials (CI smoke)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes (results identical to 1)")
-    args = parser.parse_args(argv)
-    rows = run(args.function, quick=args.quick, seed=args.seed, jobs=args.jobs)
-    print(format_rows(rows))
-    status = 0
-    leaked = sum(r.leaked_frames for r in rows)
-    if leaked:
-        print(f"\nFAIL: {leaked} leaked frames")
-        status = 1
-    wrong_on = sum(r.wrong_bytes for r in rows if r.checksums)
-    if wrong_on:
-        print(f"\nFAIL: {wrong_on} corrupt bytes served despite checksums")
-        status = 1
-    return status
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import sys
-
-    sys.exit(main())

@@ -11,7 +11,10 @@ per mechanism.  We also report the pod-wide deduplication: bytes of
 checkpointed state shared on the device vs what N private copies would
 have cost.
 
-**Cross-checkpoint dedup sweep** (:func:`run_cross`): the content-addressed
+This budget experiment is :func:`run_budget`; the registered experiment is
+the cross-checkpoint dedup sweep below.
+
+**Cross-checkpoint dedup sweep**: the content-addressed
 chunk store (:mod:`repro.dedup`) shares identical pages across *different
 checkpoints* of one pod.  Each ``(function, dedup)`` grid point seals a
 sequence of checkpoint generations the way a busy pod would — two
@@ -26,13 +29,12 @@ the deterministic executor, so ``--jobs 8`` merges bit-identical to
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass
-from typing import Optional
 
+from repro.analysis.tables import format_summary
 from repro.cxl.allocator import OutOfMemoryError
 from repro.experiments.common import make_pod, prepare_parent
-from repro.parallel import SweepPoint, run_points_flat
+from repro.parallel import SweepPoint
 from repro.rfork.registry import get_mechanism
 from repro.sim.units import GIB, MIB
 
@@ -54,13 +56,15 @@ class DensityRow:
         return self.cxl_shared_mb * max(0, self.instances - 1)
 
 
-def run(
+def run_budget(
     function: str = "bert",
     *,
     dram_budget_bytes: int = 3 * GIB,
     mechanisms=("criu-cxl", "mitosis-cxl", "cxlfork"),
     max_instances: int = 256,
 ) -> list:
+    """Per mechanism: restore and invoke clones of ``function`` on one
+    node until its DRAM budget runs out."""
     rows: list[DensityRow] = []
     for mech_name in mechanisms:
         pod = make_pod(dram_bytes=dram_budget_bytes, cxl_bytes=32 * GIB)
@@ -99,6 +103,35 @@ def run(
             )
         )
     return rows
+
+
+def summarize_budget(rows: list) -> dict:
+    by_mech = {row.mechanism: row for row in rows}
+    summary = {}
+    criu = by_mech.get("criu-cxl")
+    cxlfork = by_mech.get("cxlfork")
+    mitosis = by_mech.get("mitosis-cxl")
+    if criu and cxlfork and criu.instances:
+        summary["density_cxlfork_vs_criu"] = cxlfork.instances / criu.instances
+    if mitosis and cxlfork and mitosis.instances:
+        summary["density_cxlfork_vs_mitosis"] = cxlfork.instances / mitosis.instances
+    if cxlfork:
+        summary["cxlfork_dedup_saved_mb"] = cxlfork.dedup_saved_mb
+    return summary
+
+
+def format_budget(rows: list) -> str:
+    lines = [
+        f"{'mechanism':<12} {'instances':>10} {'localMB/inst':>13} "
+        f"{'sharedMB':>9} {'dedup saved MB':>15}"
+    ]
+    for row in rows:
+        lines.append(
+            f"{row.mechanism:<12} {row.instances:>10} "
+            f"{row.local_mb_per_instance:>13.1f} {row.cxl_shared_mb:>9.1f} "
+            f"{row.dedup_saved_mb:>15.0f}"
+        )
+    return "\n".join(lines)
 
 
 @dataclass
@@ -170,18 +203,27 @@ def _ship_costs(checkpoint, dst, codec) -> tuple:
     return full, delta, replica
 
 
-def cross_grid(*, quick: bool = False, functions=None) -> list:
+@dataclass(frozen=True)
+class Config:
+    """The ``(function, dedup)`` sweep's functions."""
+
+    functions: tuple = ("json", "bert")
+
+    @classmethod
+    def quick(cls) -> "Config":
+        return cls(functions=("float",))
+
+
+def points(config: Config) -> list:
     """The ``(function, dedup)`` sweep grid."""
-    if functions is None:
-        functions = ("float",) if quick else ("json", "bert")
     return [
         SweepPoint.make("density-cross", function=fn, dedup=dedup)
-        for fn in functions
+        for fn in config.functions
         for dedup in (False, True)
     ]
 
 
-def cross_point(point: SweepPoint) -> list:
+def run_point(point: SweepPoint) -> list:
     """Worker: seal one pod's checkpoint sequence, measure dedup + wire.
 
     Generations, in order (the order a pod would grow them):
@@ -276,14 +318,35 @@ def cross_point(point: SweepPoint) -> list:
         return rows
 
 
-def run_cross(*, quick: bool = False, functions=None, jobs: int = 1) -> list:
-    """Run the cross-checkpoint dedup sweep (deterministic across jobs)."""
-    return run_points_flat(
-        cross_grid(quick=quick, functions=functions), cross_point, jobs=jobs
-    )
+def summarize(rows: list) -> dict:
+    """The generations in point order, plus the dedup-on vs -off headline
+    (recorded in the bench digest)."""
+    rows = [row for point_rows in rows for row in point_rows]
+    return {"rows": rows, "summary": headline(rows)}
 
 
-def summarize_cross(rows: list) -> dict:
+def gates(result: dict) -> list:
+    """Every pod audits clean; dedup raises density and cuts wire bytes."""
+    rows, summary = result["rows"], result["summary"]
+    failures = []
+    dirty = sum(1 for r in rows if not r.audit_clean)
+    if dirty:
+        failures.append(f"density: {dirty} generation(s) failed the pod audit")
+    for fn in sorted({r.function for r in rows}):
+        gain = summary[f"{fn}_density_gain"]
+        if gain <= 1.0:
+            failures.append(
+                "density: dedup did not improve instances-per-GB "
+                f"for {fn} (gain {gain:.3f}x)"
+            )
+        if summary[f"{fn}_wire_delta_mb"] >= summary[f"{fn}_wire_full_mb"]:
+            failures.append(
+                f"density: delta replication did not save wire bytes for {fn}"
+            )
+    return failures
+
+
+def headline(rows: list) -> dict:
     """Dedup-on vs dedup-off, per function: density and wire savings."""
     summary: dict = {}
     functions = sorted({r.function for r in rows})
@@ -305,13 +368,13 @@ def summarize_cross(rows: list) -> dict:
     return summary
 
 
-def format_cross(rows: list) -> str:
+def format_rows(result: dict) -> str:
     lines = [
         f"{'function':<10} {'dedup':<6} {'step':>4} {'kind':<16} "
         f"{'logicalMB':>10} {'residentMB':>11} {'shared':>8} "
         f"{'inst/GB':>8} {'fullMB':>8} {'deltaMB':>8} {'audit':>6}"
     ]
-    for row in rows:
+    for row in result["rows"]:
         lines.append(
             f"{row.function:<10} {str(row.dedup):<6} {row.step:>4} "
             f"{row.kind:<16} {row.logical_mb:>10.1f} {row.resident_mb:>11.1f} "
@@ -319,72 +382,4 @@ def format_cross(rows: list) -> str:
             f"{row.full_ship_mb:>8.1f} {row.delta_ship_mb:>8.1f} "
             f"{'ok' if row.audit_clean else 'LEAK':>6}"
         )
-    return "\n".join(lines)
-
-
-def summarize(rows: list) -> dict:
-    by_mech = {row.mechanism: row for row in rows}
-    summary = {}
-    criu = by_mech.get("criu-cxl")
-    cxlfork = by_mech.get("cxlfork")
-    mitosis = by_mech.get("mitosis-cxl")
-    if criu and cxlfork and criu.instances:
-        summary["density_cxlfork_vs_criu"] = cxlfork.instances / criu.instances
-    if mitosis and cxlfork and mitosis.instances:
-        summary["density_cxlfork_vs_mitosis"] = cxlfork.instances / mitosis.instances
-    if cxlfork:
-        summary["cxlfork_dedup_saved_mb"] = cxlfork.dedup_saved_mb
-    return summary
-
-
-def format_rows(rows: list) -> str:
-    lines = [
-        f"{'mechanism':<12} {'instances':>10} {'localMB/inst':>13} "
-        f"{'sharedMB':>9} {'dedup saved MB':>15}"
-    ]
-    for row in rows:
-        lines.append(
-            f"{row.mechanism:<12} {row.instances:>10} "
-            f"{row.local_mb_per_instance:>13.1f} {row.cxl_shared_mb:>9.1f} "
-            f"{row.dedup_saved_mb:>15.0f}"
-        )
-    return "\n".join(lines)
-
-
-def main(argv: Optional[list] = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Function density: instances per memory budget, plus "
-        "the cross-checkpoint dedup sweep (device growth, instances-per-GB "
-        "of checkpoint storage, full vs delta replication bytes)."
-    )
-    parser.add_argument("--function", default="bert",
-                        help="function for the classic budget experiment")
-    parser.add_argument("--quick", action="store_true",
-                        help="small grid, small function (CI smoke)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes (results identical to 1)")
-    parser.add_argument("--cross-only", action="store_true",
-                        help="skip the classic budget experiment")
-    args = parser.parse_args(argv)
-
-    if not args.cross_only and not args.quick:
-        rows = run(args.function)
-        print(format_rows(rows))
-        print()
-        for key, value in summarize(rows).items():
-            print(f"{key:>28}: {value:.1f}")
-        print()
-
-    cross = run_cross(quick=args.quick, jobs=args.jobs)
-    print(format_cross(cross))
-    print()
-    for key, value in summarize_cross(cross).items():
-        print(f"{key:>36}: {value:.3f}")
-    if not all(r.audit_clean for r in cross):
-        print("\nFAIL: pod audit found leaked frames or chunk mismatches")
-        return 1
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())
+    return "\n".join(lines) + "\n\n" + format_summary(result["summary"])

@@ -23,22 +23,20 @@ frames at every point**, the hard acceptance invariant: a crash must never
 strand CXL or DRAM frames, no matter when it lands.
 
 Every run with the same seed is bit-identical (the bench harness digests
-the rows), and the CLI exits nonzero on any leak, so CI can gate on it::
+the rows), and :func:`gates` fails the run on any leak, so CI can gate on
+it::
 
-    PYTHONPATH=src python -m repro.experiments.failure_sweep --quick
-    PYTHONPATH=src python -m repro run failure-sweep --fast
+    PYTHONPATH=src python -m repro run failure-sweep --quick
 """
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.experiments.common import Pod, PreparedParent, make_pod, prepare_parent
 from repro.faults import FaultInjector, InjectedCrash, audit_pod
 from repro.os.kernel import NodeFailedError
-from repro.parallel import SweepPoint, run_points
+from repro.parallel import SweepPoint
 from repro.rfork.registry import get_mechanism
 from repro.sim.units import MS
 
@@ -198,20 +196,25 @@ def _run_cell(
     )
 
 
-def points(
-    function: str = "json",
-    *,
-    quick: bool = False,
-    seed: int = 0,
-    fractions: Optional[tuple] = None,
-) -> list:
+@dataclass(frozen=True)
+class Config:
+    """The sweep: one function, the injector seed, and the crash points."""
+
+    function: str = "json"
+    seed: int = 0
+    fractions: tuple = FULL_FRACTIONS
+
+    @classmethod
+    def quick(cls) -> "Config":
+        return cls(fractions=QUICK_FRACTIONS)
+
+
+def points(config: Config) -> list:
     """The sweep grid (mechanisms × stages × crash fractions) as points."""
-    if fractions is None:
-        fractions = QUICK_FRACTIONS if quick else FULL_FRACTIONS
     grid = []
     for mech_name in MECHANISMS:
         for stage in STAGES:
-            cell_fractions = (0.0,) if stage == "between" else fractions
+            cell_fractions = (0.0,) if stage == "between" else config.fractions
             for fraction in cell_fractions:
                 grid.append(
                     SweepPoint.make(
@@ -219,8 +222,8 @@ def points(
                         mechanism=mech_name,
                         stage=stage,
                         fraction=fraction,
-                        function=function,
-                        seed=seed,
+                        function=config.function,
+                        seed=config.seed,
                     )
                 )
     return grid
@@ -246,17 +249,14 @@ def run_point(point: SweepPoint) -> SweepRow:
     )
 
 
-def run(
-    function: str = "json",
-    *,
-    quick: bool = False,
-    seed: int = 0,
-    fractions: Optional[tuple] = None,
-    jobs: int = 1,
-) -> list:
-    """The full sweep: mechanisms x lifecycle stages x crash fractions."""
-    grid = points(function, quick=quick, seed=seed, fractions=fractions)
-    return run_points(grid, run_point, jobs=jobs)
+def summarize(rows: list) -> list:
+    return rows
+
+
+def gates(rows: list) -> list:
+    """A crash must never strand a frame, wherever it lands."""
+    leaked = sum(r.leaked_frames for r in rows)
+    return [f"failure sweep leaked {leaked} frames"] if leaked else []
 
 
 def survival_rate(rows: list, mechanism: str) -> float:
@@ -285,30 +285,3 @@ def format_rows(rows: list) -> str:
     total_leaked = sum(r.leaked_frames for r in rows)
     lines.append(f"total leaked frames: {total_leaked} (must be 0)")
     return "\n".join(lines)
-
-
-def main(argv: Optional[list] = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Crash-timing sweep across the checkpoint/restore "
-        "lifecycle; exits nonzero on any leaked frame."
-    )
-    parser.add_argument("--function", default="json")
-    parser.add_argument("--quick", action="store_true",
-                        help="fewer crash fractions (CI smoke)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes (results identical to 1)")
-    args = parser.parse_args(argv)
-    rows = run(args.function, quick=args.quick, seed=args.seed, jobs=args.jobs)
-    print(format_rows(rows))
-    leaked = sum(r.leaked_frames for r in rows)
-    if leaked:
-        print(f"\nFAIL: {leaked} leaked frames")
-        return 1
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import sys
-
-    sys.exit(main())

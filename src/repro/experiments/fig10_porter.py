@@ -19,11 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.analysis.tables import format_summary
 from repro.cxl.topology import PodTopology
 from repro.faas.functions import function_names
 from repro.faas.traces import TraceConfig, generate_trace
 from repro.os.fs.cxlfs import CxlFileSystem
-from repro.parallel import SweepPoint, run_points_flat
+from repro.parallel import SweepPoint
 from repro.porter.autoscaler import CxlPorter, PorterConfig
 from repro.sim.units import GIB
 
@@ -31,12 +32,16 @@ from repro.sim.units import GIB
 ARMS = ("criu-cxl", "mitosis-cxl", "cxlfork-mow", "cxlfork")
 
 
-@dataclass
-class Fig10Config:
-    """One Fig. 10 campaign."""
+@dataclass(frozen=True)
+class Config:
+    """One Fig. 10 campaign.
 
-    total_rps: float = 150.0
-    duration_s: float = 15.0
+    ``Config()`` is a reduced trace; the paper-scale campaign (150 RPS for
+    15 s at 100/50/25% memory) is ``benchmarks/test_bench_fig10.py``.
+    """
+
+    total_rps: float = 80.0
+    duration_s: float = 8.0
     seed: int = 42
     functions: Optional[list] = None
     baseline_dram_bytes: int = 10 * GIB
@@ -51,6 +56,11 @@ class Fig10Config:
     burst_factor: float = 8.0
     calm_mean_s: float = 5.0
     burst_mean_s: float = 1.5
+    arms: tuple = ARMS
+
+    @classmethod
+    def quick(cls) -> "Config":
+        return cls(total_rps=40.0, duration_s=4.0)
 
 
 @dataclass
@@ -76,7 +86,7 @@ def _porter_for(arm: str, nodes, fabric) -> CxlPorter:
 
 
 def run_arm(
-    arm: str, config: Fig10Config, memory_fraction: float
+    arm: str, config: Config, memory_fraction: float
 ) -> list:
     """One arm at one memory level; returns per-function rows + 'ALL'."""
     functions = list(config.functions or function_names())
@@ -128,7 +138,7 @@ def run_arm(
     return rows
 
 
-def points(config: Fig10Config, arms=ARMS) -> list:
+def points(config: Config) -> list:
     """The Fig. 10 grid (memory levels × arms) as self-contained points.
 
     The frozen campaign config rides inside each point, so a worker can
@@ -137,7 +147,7 @@ def points(config: Fig10Config, arms=ARMS) -> list:
     return [
         SweepPoint.make("fig10", arm=arm, memory_fraction=fraction, config=config)
         for fraction in config.memory_fractions
-        for arm in arms
+        for arm in config.arms
     ]
 
 
@@ -150,12 +160,16 @@ def run_point(point: SweepPoint) -> list:
     )
 
 
-def run(config: Optional[Fig10Config] = None, arms=ARMS, *, jobs: int = 1) -> list:
-    config = config or Fig10Config()
-    return run_points_flat(points(config, arms), run_point, jobs=jobs)
+def summarize(rows: list) -> list:
+    """Concatenate the per-campaign rows in point order."""
+    return [row for campaign in rows for row in campaign]
 
 
-def summarize(rows: list) -> dict:
+def gates(rows: list) -> list:
+    return []
+
+
+def headline(rows: list) -> dict:
     """Normalized-to-CRIU aggregates per memory level."""
     summary: dict = {}
     fractions = sorted({r.memory_fraction for r in rows}, reverse=True)
@@ -173,27 +187,17 @@ def summarize(rows: list) -> dict:
 
 
 def format_rows(rows: list) -> str:
+    """The all-function ('ALL') rows, then the normalized aggregates."""
     lines = [
         f"{'mem%':>5} {'arm':<12} {'function':<10} {'p50(ms)':>9} "
         f"{'p99(ms)':>9} {'n':>6}"
     ]
     for row in rows:
+        if row.function != "ALL":
+            continue
         lines.append(
             f"{int(row.memory_fraction * 100):>5} {row.arm:<12} "
             f"{row.function:<10} {row.p50_ms:>9.1f} {row.p99_ms:>9.1f} "
             f"{row.requests:>6}"
         )
-    return "\n".join(lines)
-
-
-def main(jobs: int = 1) -> None:  # pragma: no cover - CLI convenience
-    config = Fig10Config(memory_fractions=(1.0, 0.5, 0.25))
-    rows = run(config, jobs=jobs)
-    print(format_rows([r for r in rows if r.function == "ALL"]))
-    print()
-    for key, value in summarize(rows).items():
-        print(f"{key:>36}: {value:.3f}")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+    return "\n".join(lines) + "\n\n" + format_summary(headline(rows))

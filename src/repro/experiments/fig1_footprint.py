@@ -19,6 +19,7 @@ from repro.experiments.common import make_pod
 from repro.faas.functions import function_names
 from repro.faas.workload import FunctionWorkload
 from repro.os.mm.pte import PteFlags
+from repro.parallel import SweepPoint
 from repro.tiering.hotness import reset_access_bits
 
 
@@ -55,29 +56,52 @@ def classify(task, invocations: int) -> tuple:
     return init, ro, rw
 
 
-def run(functions: Optional[list] = None, invocations: int = 128) -> list:
-    """Fig. 1 rows: invoke each function ``invocations`` times, classify."""
-    rows: list[Fig1Row] = []
-    names = functions if functions is not None else function_names()
-    for fn in names:
-        pod = make_pod()
-        workload = FunctionWorkload(fn)
-        instance = workload.build_instance(pod.source)
-        # Clear the initialization writes, then watch steady-state behaviour.
-        reset_access_bits(instance.task.mm.pagetable, clear_dirty=True)
-        for _ in range(invocations):
-            workload.invoke(instance)
-        init, ro, rw = classify(instance.task, invocations)
-        total = init + ro + rw
-        rows.append(
-            Fig1Row(
-                function=fn,
-                init_frac=init / total,
-                read_only_frac=ro / total,
-                read_write_frac=rw / total,
-            )
-        )
+@dataclass(frozen=True)
+class Config:
+    """Fig. 1 shape: which functions, and invocations per function."""
+
+    functions: Optional[tuple] = None  # None = all of Table 1
+    invocations: int = 128
+
+    @classmethod
+    def quick(cls) -> "Config":
+        return cls(functions=("float", "json", "bfs", "bert"), invocations=32)
+
+
+def points(config: Config) -> list:
+    names = config.functions or function_names()
+    return [
+        SweepPoint.make("fig1", function=fn, invocations=config.invocations)
+        for fn in names
+    ]
+
+
+def run_point(point: SweepPoint) -> Fig1Row:
+    """Invoke one function ``invocations`` times on a fresh pod, classify."""
+    fn = point.param("function")
+    pod = make_pod()
+    workload = FunctionWorkload(fn)
+    instance = workload.build_instance(pod.source)
+    # Clear the initialization writes, then watch steady-state behaviour.
+    reset_access_bits(instance.task.mm.pagetable, clear_dirty=True)
+    for _ in range(point.param("invocations")):
+        workload.invoke(instance)
+    init, ro, rw = classify(instance.task, point.param("invocations"))
+    total = init + ro + rw
+    return Fig1Row(
+        function=fn,
+        init_frac=init / total,
+        read_only_frac=ro / total,
+        read_write_frac=rw / total,
+    )
+
+
+def summarize(rows: list) -> list:
     return rows
+
+
+def gates(rows: list) -> list:
+    return []
 
 
 def averages(rows: list) -> dict:
@@ -103,11 +127,3 @@ def format_rows(rows: list) -> str:
         f"{avg['read_only'] * 100:>7.1f} {avg['read_write'] * 100:>7.1f}"
     )
     return "\n".join(lines)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(format_rows(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

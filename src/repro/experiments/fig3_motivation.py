@@ -10,8 +10,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.common import make_pod, measure_cold_start, prepare_parent
+from repro.experiments.common import (
+    ColdStartMeasurement,
+    make_pod,
+    measure_cold_start,
+    prepare_parent,
+)
+from repro.parallel import SweepPoint
 from repro.sim.units import MS
+
+MECHANISMS = ("localfork", "criu-cxl", "mitosis-cxl")
 
 
 @dataclass
@@ -51,12 +59,33 @@ class Fig3Result:
         return self.mitosis_mb / self.localfork_mb
 
 
-def run(function: str = "bert") -> Fig3Result:
-    results = {}
-    for mech in ("localfork", "criu-cxl", "mitosis-cxl"):
-        pod = make_pod()
-        parent = prepare_parent(pod, function)
-        results[mech] = measure_cold_start(pod, parent, mech)
+@dataclass(frozen=True)
+class Config:
+    """One function; the paper uses BERT."""
+
+    function: str = "bert"
+
+    @classmethod
+    def quick(cls) -> "Config":
+        return cls()
+
+
+def points(config: Config) -> list:
+    return [
+        SweepPoint.make("fig3", function=config.function, mechanism=mech)
+        for mech in MECHANISMS
+    ]
+
+
+def run_point(point: SweepPoint) -> ColdStartMeasurement:
+    """One mechanism's remote fork of the function, on a fresh pod."""
+    pod = make_pod()
+    parent = prepare_parent(pod, point.param("function"))
+    return measure_cold_start(pod, parent, point.param("mechanism"))
+
+
+def summarize(rows: list) -> Fig3Result:
+    results = dict(zip(MECHANISMS, rows))
     return Fig3Result(
         localfork_total_ms=results["localfork"].total_ns / MS,
         criu_restore_ms=results["criu-cxl"].restore_ns / MS,
@@ -68,7 +97,11 @@ def run(function: str = "bert") -> Fig3Result:
     )
 
 
-def format_result(result: Fig3Result) -> str:
+def gates(result: Fig3Result) -> list:
+    return []
+
+
+def format_rows(result: Fig3Result) -> str:
     return "\n".join(
         [
             f"local fork + exec:      {result.localfork_total_ms:8.1f} ms, "
@@ -82,11 +115,3 @@ def format_result(result: Fig3Result) -> str:
             f"{result.mitosis_mb:7.1f} MB ({result.mitosis_mem_vs_localfork:.0f}x mem; paper ~24x)",
         ]
     )
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(format_result(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

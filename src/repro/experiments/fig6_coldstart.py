@@ -11,10 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.analysis.tables import format_summary
 from repro.experiments.common import make_pod
 from repro.faas.container import ContainerFactory
 from repro.faas.functions import function_names
 from repro.faas.workload import FunctionWorkload
+from repro.parallel import SweepPoint
 from repro.sim.units import MS
 
 
@@ -31,30 +33,50 @@ class Fig6Row:
         return self.container_create_ms + self.state_init_ms
 
 
-def run(functions: Optional[list] = None) -> list:
-    rows: list[Fig6Row] = []
-    names = functions if functions is not None else function_names()
-    for fn in names:
-        pod = make_pod()
-        node = pod.source
-        factory = ContainerFactory(node)
-        t0 = node.clock.now
-        container = factory.create(fn)
-        t1 = node.clock.now
-        workload = FunctionWorkload(fn)
-        workload.build_instance(node, container=container)
-        t2 = node.clock.now
-        rows.append(
-            Fig6Row(
-                function=fn,
-                container_create_ms=(t1 - t0) / MS,
-                state_init_ms=(t2 - t1) / MS,
-            )
-        )
+@dataclass(frozen=True)
+class Config:
+    """Which functions to build (None = all of Table 1)."""
+
+    functions: Optional[tuple] = None
+
+    @classmethod
+    def quick(cls) -> "Config":
+        return cls(functions=("float", "json", "bfs", "bert"))
+
+
+def points(config: Config) -> list:
+    names = config.functions or function_names()
+    return [SweepPoint.make("fig6", function=fn) for fn in names]
+
+
+def run_point(point: SweepPoint) -> Fig6Row:
+    """Create a container, then build the function in it, on a fresh pod."""
+    fn = point.param("function")
+    pod = make_pod()
+    node = pod.source
+    factory = ContainerFactory(node)
+    t0 = node.clock.now
+    container = factory.create(fn)
+    t1 = node.clock.now
+    workload = FunctionWorkload(fn)
+    workload.build_instance(node, container=container)
+    t2 = node.clock.now
+    return Fig6Row(
+        function=fn,
+        container_create_ms=(t1 - t0) / MS,
+        state_init_ms=(t2 - t1) / MS,
+    )
+
+
+def summarize(rows: list) -> list:
     return rows
 
 
-def summarize(rows: list) -> dict:
+def gates(rows: list) -> list:
+    return []
+
+
+def headline(rows: list) -> dict:
     creates = [r.container_create_ms for r in rows]
     inits = [r.state_init_ms for r in rows]
     return {
@@ -72,14 +94,4 @@ def format_rows(rows: list) -> str:
             f"{row.function:<12} {row.container_create_ms:>14.1f} "
             f"{row.state_init_ms:>15.1f} {row.total_ms:>9.1f}"
         )
-    return "\n".join(lines)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    rows = run()
-    print(format_rows(rows))
-    print(summarize(rows))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+    return "\n".join(lines) + "\n\n" + format_summary(headline(rows))

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.analysis.tables import format_summary
 from repro.experiments.common import (
     geometric_mean,
     make_pod,
@@ -20,7 +21,7 @@ from repro.experiments.common import (
     prepare_parent,
 )
 from repro.faas.functions import function_names
-from repro.parallel import SweepPoint, run_points
+from repro.parallel import SweepPoint
 from repro.sim.units import MS
 
 #: Mechanisms shown in Fig. 7, in plot order.
@@ -40,15 +41,26 @@ class Fig7Row:
     local_mb: float
 
 
-def points(
-    functions: Optional[list] = None, mechanisms=FIG7_MECHANISMS
-) -> list:
+@dataclass(frozen=True)
+class Config:
+    """The Fig. 7 grid: functions (None = all of Table 1) × mechanisms."""
+
+    functions: Optional[tuple] = None
+    mechanisms: tuple = FIG7_MECHANISMS
+
+    @classmethod
+    def quick(cls) -> "Config":
+        """Two functions spanning tiny and mid-size working sets."""
+        return cls(functions=("float", "json"))
+
+
+def points(config: Config) -> list:
     """The Fig. 7 grid (functions × mechanisms) as self-contained points."""
-    names = functions if functions is not None else function_names()
+    names = config.functions or function_names()
     return [
         SweepPoint.make("fig7", function=fn, mechanism=mech)
         for fn in names
-        for mech in mechanisms
+        for mech in config.mechanisms
     ]
 
 
@@ -72,17 +84,15 @@ def run_point(point: SweepPoint) -> Fig7Row:
     )
 
 
-def run(
-    functions: Optional[list] = None,
-    mechanisms=FIG7_MECHANISMS,
-    *,
-    jobs: int = 1,
-) -> list:
-    """Produce all Fig. 7 rows (bit-identical for every ``jobs``)."""
-    return run_points(points(functions, mechanisms), run_point, jobs=jobs)
+def summarize(rows: list) -> list:
+    return rows
 
 
-def summarize(rows: list) -> dict:
+def gates(rows: list) -> list:
+    return []
+
+
+def headline(rows: list) -> dict:
     """The headline ratios the paper reports in §7.1."""
     by_fn: dict[str, dict[str, Fig7Row]] = {}
     for row in rows:
@@ -141,31 +151,4 @@ def format_rows(rows: list) -> str:
             f"{row.fault_ms:>9.2f} {row.exec_ms:>9.2f} {row.total_ms:>9.2f} "
             f"{row.local_mb:>9.1f}"
         )
-    return "\n".join(lines)
-
-
-def chart(rows: list) -> str:
-    """Fig. 7a as grouped ASCII bars (total cold-start time)."""
-    from repro.analysis.plotting import ascii_bar_chart
-
-    groups: list = []
-    by_fn: dict = {}
-    for row in rows:
-        by_fn.setdefault(row.function, {})[row.mechanism] = row.total_ms
-    for fn, series in by_fn.items():
-        groups.append((fn, series))
-    return ascii_bar_chart(groups, unit=" ms")
-
-
-def main(jobs: int = 1) -> None:  # pragma: no cover - CLI convenience
-    rows = run(jobs=jobs)
-    print(format_rows(rows))
-    print()
-    print(chart(rows))
-    print()
-    for key, value in summarize(rows).items():
-        print(f"{key:>28}: {value:.3f}")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+    return "\n".join(lines) + "\n\n" + format_summary(headline(rows))

@@ -17,8 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.analysis.tables import format_summary
 from repro.experiments.common import child_local_bytes, make_pod, prepare_parent
 from repro.faas.functions import function_names
+from repro.parallel import SweepPoint
 from repro.rfork.cxlfork import CxlFork
 from repro.sim.units import MIB, MS
 from repro.tiering import HybridTiering, MigrateOnAccess, MigrateOnWrite
@@ -41,36 +43,66 @@ class Fig8Row:
     local_mb: float
 
 
-def run(functions: Optional[list] = None, warm_invocations: int = 3) -> list:
-    rows: list[Fig8Row] = []
-    names = functions if functions is not None else function_names()
-    for fn in names:
-        for policy_name, policy_cls in POLICIES.items():
-            pod = make_pod()
-            parent = prepare_parent(pod, fn)
-            workload = parent.workload
-            mech = CxlFork()
-            ckpt, _ = mech.checkpoint(parent.instance.task)
-            restore = mech.restore(ckpt, pod.target, policy=policy_cls())
-            child = workload.placed_plan_for(parent.instance, restore.task)
-            first = workload.invoke(child)
-            cold_ms = (restore.metrics.latency_ns + first.wall_ns) / MS
-            warm = None
-            for _ in range(warm_invocations):
-                warm = workload.invoke(child)
-            rows.append(
-                Fig8Row(
-                    function=fn,
-                    policy=policy_name,
-                    cold_ms=cold_ms,
-                    warm_ms=warm.wall_ns / MS,
-                    local_mb=child_local_bytes(child) / MIB,
-                )
-            )
+@dataclass(frozen=True)
+class Config:
+    """Functions (None = all of Table 1) and warm rounds per child."""
+
+    functions: Optional[tuple] = None
+    warm_invocations: int = 3
+
+    @classmethod
+    def quick(cls) -> "Config":
+        return cls(functions=("float", "json", "bfs", "bert"))
+
+
+def points(config: Config) -> list:
+    names = config.functions or function_names()
+    return [
+        SweepPoint.make(
+            "fig8",
+            function=fn,
+            policy=policy,
+            warm_invocations=config.warm_invocations,
+        )
+        for fn in names
+        for policy in POLICIES
+    ]
+
+
+def run_point(point: SweepPoint) -> Fig8Row:
+    """Restore one function under one policy on a fresh pod; cold + warm."""
+    fn = point.param("function")
+    pod = make_pod()
+    parent = prepare_parent(pod, fn)
+    workload = parent.workload
+    mech = CxlFork()
+    ckpt, _ = mech.checkpoint(parent.instance.task)
+    policy = POLICIES[point.param("policy")]()
+    restore = mech.restore(ckpt, pod.target, policy=policy)
+    child = workload.placed_plan_for(parent.instance, restore.task)
+    first = workload.invoke(child)
+    cold_ms = (restore.metrics.latency_ns + first.wall_ns) / MS
+    warm = None
+    for _ in range(point.param("warm_invocations")):
+        warm = workload.invoke(child)
+    return Fig8Row(
+        function=fn,
+        policy=point.param("policy"),
+        cold_ms=cold_ms,
+        warm_ms=warm.wall_ns / MS,
+        local_mb=child_local_bytes(child) / MIB,
+    )
+
+
+def summarize(rows: list) -> list:
     return rows
 
 
-def summarize(rows: list) -> dict:
+def gates(rows: list) -> list:
+    return []
+
+
+def headline(rows: list) -> dict:
     """The §7.1 tiering claims, as ratios of MoA/HT against MoW."""
     by_fn: dict[str, dict[str, Fig8Row]] = {}
     for row in rows:
@@ -112,16 +144,4 @@ def format_rows(rows: list) -> str:
             f"{row.function:<12} {row.policy:<8} {row.cold_ms:>10.2f} "
             f"{row.warm_ms:>10.2f} {row.local_mb:>9.1f}"
         )
-    return "\n".join(lines)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    rows = run()
-    print(format_rows(rows))
-    print()
-    for key, value in summarize(rows).items():
-        print(f"{key:>24}: {value if isinstance(value, bool) else f'{value:.3f}'}")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+    return "\n".join(lines) + "\n\n" + format_summary(headline(rows))

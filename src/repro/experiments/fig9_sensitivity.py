@@ -16,10 +16,11 @@ same by swapping the fabric's latency model:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
+from repro.analysis.tables import format_summary
 from repro.cxl.latency import MemoryLatencyModel
 from repro.experiments.common import make_pod, measure_cold_start, prepare_parent
+from repro.parallel import SweepPoint
 
 #: The sweep points (round-trip ns); 400 ≈ the real device, 100 ≈ local.
 LATENCIES_NS = (400.0, 300.0, 200.0, 100.0)
@@ -38,7 +39,30 @@ class Fig9Row:
     cold_relative: float  # CXLfork cold / local-fork cold
 
 
-def _measure_at(function: str, cxl_latency_ns: float) -> Fig9Row:
+@dataclass(frozen=True)
+class Config:
+    """Functions × CXL round-trip latencies (ns)."""
+
+    functions: tuple = REPRESENTATIVE
+    latencies: tuple = LATENCIES_NS
+
+    @classmethod
+    def quick(cls) -> "Config":
+        return cls(functions=("float", "bert"), latencies=(400.0, 100.0))
+
+
+def points(config: Config) -> list:
+    return [
+        SweepPoint.make("fig9", function=fn, cxl_latency_ns=lat)
+        for fn in config.functions
+        for lat in config.latencies
+    ]
+
+
+def run_point(point: SweepPoint) -> Fig9Row:
+    """Local fork vs CXLfork of one function at one latency, fresh pods."""
+    function = point.param("function")
+    cxl_latency_ns = point.param("cxl_latency_ns")
     latency = MemoryLatencyModel().with_cxl_latency(cxl_latency_ns)
 
     # Local-fork reference (its own pod; no CXL involvement in execution).
@@ -75,18 +99,15 @@ def _warm_ns_of(child) -> float:
     return result.wall_ns
 
 
-def run(
-    functions: Optional[list] = None,
-    latencies: Optional[list] = None,
-) -> list:
-    rows: list[Fig9Row] = []
-    for fn in functions if functions is not None else REPRESENTATIVE:
-        for lat in latencies if latencies is not None else LATENCIES_NS:
-            rows.append(_measure_at(fn, lat))
+def summarize(rows: list) -> list:
     return rows
 
 
-def summarize(rows: list) -> dict:
+def gates(rows: list) -> list:
+    return []
+
+
+def headline(rows: list) -> dict:
     """The §7.1 sensitivity claims."""
     by_fn: dict[str, list[Fig9Row]] = {}
     for row in rows:
@@ -110,7 +131,7 @@ def format_rows(rows: list) -> str:
             f"{row.function:<10} {row.cxl_latency_ns:>12.0f} "
             f"{row.warm_relative:>10.3f} {row.cold_relative:>10.3f}"
         )
-    return "\n".join(lines)
+    return "\n".join(lines) + "\n\n" + format_summary(headline(rows))
 
 
 def chart(rows: list) -> str:
@@ -126,17 +147,3 @@ def chart(rows: list) -> str:
         list(xs), complete, x_label="CXL round trip (ns)",
         y_label="warm time relative to local fork",
     )
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    rows = run()
-    print(format_rows(rows))
-    print()
-    print(chart(rows))
-    print()
-    for key, value in summarize(rows).items():
-        print(f"{key:>28}: {value:.3f}")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -19,10 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.analysis.tables import format_summary
 from repro.cxl.bandwidth import BandwidthTracker
 from repro.cxl.topology import PodTopology
 from repro.faas.workload import FunctionWorkload
-from repro.parallel import SweepPoint, run_points
+from repro.parallel import SweepPoint
 from repro.rfork.cxlfork import CxlFork
 from repro.sim.units import GIB, MS
 from repro.tiering.bandwidth_aware import BandwidthAwareTiering
@@ -33,6 +34,8 @@ from repro.tiering.mow import MigrateOnWrite
 MISS_TRAFFIC_BYTES = 512
 #: Device bandwidth for the scalability study (FPGA-prototype class).
 DEVICE_GBPS = 6.0
+#: Warm-invocation rounds driven toward the latency/throughput fixed point.
+FIXED_POINT_ROUNDS = 4
 
 
 @dataclass
@@ -54,13 +57,35 @@ def _policy_for(kind: str, fabric):
     raise ValueError(f"unknown policy kind {kind!r}")
 
 
-def run_point(
-    policy_kind: str,
-    node_count: int,
-    *,
-    function: str = "bert",
-    rounds: int = 4,
-) -> ScalabilityRow:
+@dataclass(frozen=True)
+class Config:
+    """Tiering policies × pod sizes, cloning one function."""
+
+    node_counts: tuple = (2, 4, 8, 16)
+    policies: tuple = ("mow", "bandwidth-aware")
+    function: str = "bert"
+
+    @classmethod
+    def quick(cls) -> "Config":
+        return cls(node_counts=(2, 8))
+
+
+def points(config: Config) -> list:
+    """The policies × node-count grid as self-contained sweep points."""
+    return [
+        SweepPoint.make(
+            "scalability", policy=policy, node_count=count, function=config.function
+        )
+        for policy in config.policies
+        for count in config.node_counts
+    ]
+
+
+def run_point(point: SweepPoint) -> ScalabilityRow:
+    """One clone per node of a fresh pod, driven to the bandwidth fixed point."""
+    policy_kind = point.param("policy")
+    node_count = point.param("node_count")
+    function = point.param("function")
     topology = PodTopology.paper_testbed(
         node_count=node_count, dram_bytes=8 * GIB, cxl_bytes=24 * GIB
     )
@@ -83,7 +108,7 @@ def run_point(
     # Iterate to the latency/throughput fixed point: traffic inflates
     # latency, which throttles traffic.
     last_results = []
-    for _ in range(rounds):
+    for _ in range(FIXED_POINT_ROUNDS):
         last_results = [workload.invoke(child) for child in children]
         for child, result in zip(children, last_results):
             misses = result.first_touch_misses + result.reaccess_misses
@@ -104,43 +129,15 @@ def run_point(
     )
 
 
-def points(
-    node_counts=(2, 4, 8, 16),
-    policies=("mow", "bandwidth-aware"),
-    *,
-    function: str = "bert",
-) -> list:
-    """The policies × node-count grid as self-contained sweep points."""
-    return [
-        SweepPoint.make(
-            "scalability", policy=policy, node_count=count, function=function
-        )
-        for policy in policies
-        for count in node_counts
-    ]
+def summarize(rows: list) -> list:
+    return rows
 
 
-def run_sweep_point(point: SweepPoint) -> ScalabilityRow:
-    """Picklable adapter from a :class:`SweepPoint` to :func:`run_point`."""
-    return run_point(
-        point.param("policy"),
-        point.param("node_count"),
-        function=point.param("function"),
-    )
+def gates(rows: list) -> list:
+    return []
 
 
-def run(
-    node_counts=(2, 4, 8, 16),
-    policies=("mow", "bandwidth-aware"),
-    *,
-    function: str = "bert",
-    jobs: int = 1,
-) -> list:
-    grid = points(node_counts, policies, function=function)
-    return run_points(grid, run_sweep_point, jobs=jobs)
-
-
-def summarize(rows: list) -> dict:
+def headline(rows: list) -> dict:
     by_policy: dict[str, list[ScalabilityRow]] = {}
     for row in rows:
         by_policy.setdefault(row.policy, []).append(row)
@@ -164,16 +161,4 @@ def format_rows(rows: list) -> str:
             f"{row.policy:<16} {row.node_count:>6} {row.warm_ms:>10.1f} "
             f"{row.fabric_utilization:>12.2f} {row.local_mb_per_clone:>14.1f}"
         )
-    return "\n".join(lines)
-
-
-def main(jobs: int = 1) -> None:  # pragma: no cover - CLI convenience
-    rows = run(jobs=jobs)
-    print(format_rows(rows))
-    print()
-    for key, value in summarize(rows).items():
-        print(f"{key:>32}: {value:.2f}")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+    return "\n".join(lines) + "\n\n" + format_summary(headline(rows))

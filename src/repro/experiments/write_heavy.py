@@ -18,9 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.analysis.tables import format_summary
 from repro.experiments.common import child_local_bytes, make_pod
 from repro.faas.functions import FunctionSpec
 from repro.faas.workload import FunctionWorkload
+from repro.parallel import SweepPoint
 from repro.rfork.cxlfork import CxlFork
 from repro.sim.units import MS
 
@@ -61,36 +63,55 @@ class WriteHeavyRow:
     shared_frac: float
 
 
-def run(write_shares=WRITE_SHARES) -> list:
-    rows: list[WriteHeavyRow] = []
-    for share in write_shares:
-        spec = _write_heavy_spec(share)
-        pod = make_pod()
-        workload = FunctionWorkload(spec)
-        parent = workload.build_instance(pod.source)
-        workload.season(parent)
-        mech = CxlFork()
-        checkpoint, _ = mech.checkpoint(parent.task)
-        restored = mech.restore(checkpoint, pod.target)
-        child = workload.placed_plan_for(parent, restored.task)
-        invocation = workload.invoke(child)
-        local_frac = child_local_bytes(child) / spec.footprint_bytes
-        shared_frac = (
-            child.task.mm.cxl_mapped_pages() * 4096 / spec.footprint_bytes
-        )
-        rows.append(
-            WriteHeavyRow(
-                write_share=share,
-                restore_ms=restored.metrics.latency_ns / MS,
-                cold_total_ms=(restored.metrics.latency_ns + invocation.wall_ns) / MS,
-                child_local_frac=local_frac,
-                shared_frac=shared_frac,
-            )
-        )
+@dataclass(frozen=True)
+class Config:
+    """The swept write shares."""
+
+    write_shares: tuple = WRITE_SHARES
+
+    @classmethod
+    def quick(cls) -> "Config":
+        return cls(write_shares=(0.05, 0.6))
+
+
+def points(config: Config) -> list:
+    return [
+        SweepPoint.make("write-heavy", write_share=share)
+        for share in config.write_shares
+    ]
+
+
+def run_point(point: SweepPoint) -> WriteHeavyRow:
+    """CXLfork one synthetic function of the given write share, fresh pod."""
+    share = point.param("write_share")
+    spec = _write_heavy_spec(share)
+    pod = make_pod()
+    workload = FunctionWorkload(spec)
+    parent = workload.build_instance(pod.source)
+    workload.season(parent)
+    mech = CxlFork()
+    checkpoint, _ = mech.checkpoint(parent.task)
+    restored = mech.restore(checkpoint, pod.target)
+    child = workload.placed_plan_for(parent, restored.task)
+    invocation = workload.invoke(child)
+    return WriteHeavyRow(
+        write_share=share,
+        restore_ms=restored.metrics.latency_ns / MS,
+        cold_total_ms=(restored.metrics.latency_ns + invocation.wall_ns) / MS,
+        child_local_frac=child_local_bytes(child) / spec.footprint_bytes,
+        shared_frac=child.task.mm.cxl_mapped_pages() * 4096 / spec.footprint_bytes,
+    )
+
+
+def summarize(rows: list) -> list:
     return rows
 
 
-def summarize(rows: list) -> dict:
+def gates(rows: list) -> list:
+    return []
+
+
+def headline(rows: list) -> dict:
     ordered = sorted(rows, key=lambda r: r.write_share)
     return {
         # Instant cloning is write-share independent:
@@ -117,17 +138,4 @@ def format_rows(rows: list) -> str:
             f"{row.cold_total_ms:>9.1f} {row.child_local_frac:>11.2f} "
             f"{row.shared_frac:>12.2f}"
         )
-    return "\n".join(lines)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    rows = run()
-    print(format_rows(rows))
-    print()
-    for key, value in summarize(rows).items():
-        text = value if isinstance(value, bool) else f"{value:.3f}"
-        print(f"{key:>34}: {text}")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+    return "\n".join(lines) + "\n\n" + format_summary(headline(rows))

@@ -7,7 +7,7 @@ order, so the output (and its bench digest) is bit-identical to the
 serial run.  See :mod:`repro.parallel.executor` for the contract.
 """
 
-from repro.parallel.executor import default_jobs, run_points, run_points_flat
+from repro.parallel.executor import default_jobs, run_points
 from repro.parallel.points import SweepPoint, canonical_params, derive_seed
 
 __all__ = [
@@ -16,5 +16,4 @@ __all__ = [
     "default_jobs",
     "derive_seed",
     "run_points",
-    "run_points_flat",
 ]

@@ -79,21 +79,4 @@ def run_points(
     return results
 
 
-def run_points_flat(
-    points: Iterable[SweepPoint],
-    worker: Callable[[SweepPoint], List[Any]],
-    *,
-    jobs: int = 1,
-) -> List[Any]:
-    """`run_points` for workers that return a list of rows per point.
-
-    The per-point row lists are concatenated in canonical point order —
-    the flattened result is identical to the serial nested loop.
-    """
-    merged: List[Any] = []
-    for rows in run_points(points, worker, jobs=jobs):
-        merged.extend(rows)
-    return merged
-
-
-__all__ = ["default_jobs", "run_points", "run_points_flat"]
+__all__ = ["default_jobs", "run_points"]

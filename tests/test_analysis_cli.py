@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.__main__ import EXPERIMENTS, main
+from repro.__main__ import main
 from repro.analysis.stats import geometric_mean, percentile, summary_stats
 from repro.analysis.tables import format_table
+from repro.experiments import REGISTRY
 
 
 class TestStats:
@@ -50,7 +51,7 @@ class TestCli:
     def test_list(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        for name in EXPERIMENTS:
+        for name in REGISTRY:
             assert name in out
 
     def test_run_table1(self, capsys):
@@ -104,10 +105,10 @@ class TestCli:
     def test_registry_modules_importable(self):
         import importlib
 
-        for module_path, _ in EXPERIMENTS.values():
+        for module_path, _ in REGISTRY.values():
             module = importlib.import_module(module_path)
-            assert hasattr(module, "run")
-            assert hasattr(module, "main")
+            assert hasattr(module, "run_point")
+            assert not hasattr(module, "main")
 
 
 class TestDedupAccounting:

@@ -11,8 +11,8 @@ import json
 import pytest
 
 from repro import bench
+from repro import experiments
 from repro.bench import (
-    BENCH_EXPERIMENTS,
     BenchResult,
     compare_to_baseline,
     load_baseline,
@@ -127,8 +127,9 @@ class TestDeterminism:
 
     @pytest.fixture(scope="class")
     def quick_runs(self):
-        first = fig7_performance.run(functions=bench.FIG7_QUICK_FUNCTIONS)
-        second = fig7_performance.run(functions=bench.FIG7_QUICK_FUNCTIONS)
+        quick = fig7_performance.Config.quick()
+        first = experiments.run("fig7", quick)
+        second = experiments.run("fig7", quick)
         harness = run_bench("fig7", quick=True)
         return first, second, harness
 
@@ -254,7 +255,23 @@ class TestJobsField:
 
 class TestBenchRegistry:
     def test_all_baselined_experiments_registered(self):
-        assert {"fig7", "fig3", "fig10"} <= set(BENCH_EXPERIMENTS)
+        """Every committed baseline is named after a registered experiment
+        and records that same name."""
+        baselines = sorted(bench.default_baseline_dir().glob("BENCH_*.json"))
+        assert len(baselines) == 7
+        for path in baselines:
+            name = path.stem.removeprefix("BENCH_")
+            assert name in experiments.REGISTRY
+            assert json.loads(path.read_text())["experiment"] == name
+
+    def test_gate_failures_fail_the_comparison(self, tmp_path):
+        result = BenchResult(
+            experiment="fig7", mode="quick", wall_s=0.1, host_calls=None,
+            sim_results_digest="d" * 64, gate_failures=["leaked 3 frames"],
+        )
+        comparison = compare_to_baseline(result, baseline_dir=tmp_path)
+        assert comparison.digest_ok and not comparison.ok
+        assert "gate: FAIL — leaked 3 frames" in comparison.describe()
 
     def test_cli_rejects_unknown_experiment(self, capsys):
         assert bench.main(["nope"]) == 2

@@ -5,8 +5,8 @@ from __future__ import annotations
 import json
 
 from repro import bench
+from repro.experiments import REGISTRY
 from repro.bench import (
-    BENCH_EXPERIMENTS,
     BenchResult,
     check_root_copies,
     sync_root_copies,
@@ -53,12 +53,12 @@ class TestSyncRootCopies:
         baselines = tmp_path / "baselines"
         root = tmp_path / "root"
         root.mkdir()
-        for name in BENCH_EXPERIMENTS:
+        for name in REGISTRY:
             write_baseline(name, _result("full", "a" * 64),
                            _result("quick", "b" * 64), baselines)
         written = sync_root_copies(None, baselines, root)
         assert {p.name for p in written} == {
-            f"BENCH_{name}.json" for name in BENCH_EXPERIMENTS
+            f"BENCH_{name}.json" for name in REGISTRY
         }
 
 

@@ -1,5 +1,8 @@
 """cluster_scale experiment: determinism, summary shape, audit hook."""
 
+import dataclasses
+
+from repro import experiments
 from repro.bench import results_digest
 from repro.check.cluster import audit_federation
 from repro.cluster import RouterConfig, build_federation
@@ -9,30 +12,35 @@ from repro.porter.autoscaler import PorterConfig
 
 def test_quick_run_is_deterministic():
     """Two quick runs from the same seed must digest identically — this
-    is the digest CI pins against BENCH_cluster.json."""
+    is the digest CI pins against BENCH_cluster-scale.json."""
     digests = [
-        results_digest(cluster_scale.run(cluster_scale.ClusterScaleConfig.quick()))
+        results_digest(
+            experiments.run("cluster-scale", cluster_scale.Config.quick())
+        )
         for _ in range(2)
     ]
     assert digests[0] == digests[1]
 
 
 def test_quick_summary_shape():
-    rows = cluster_scale.run(cluster_scale.ClusterScaleConfig.quick())
+    result = experiments.run("cluster-scale", cluster_scale.Config.quick())
+    rows, summary = result["rows"], result["summary"]
     assert len(rows) == 4  # 2 RPS points x 2 arms
     assert {r.arm for r in rows} == {"single-pod", "federated"}
-    summary = cluster_scale.summarize(rows)
+    assert summary == cluster_scale.headline(rows)
     assert isinstance(summary["federated_wins_cold_p99_at_peak"], bool)
-    assert summary["peak_rps"] == max(
-        cluster_scale.ClusterScaleConfig.quick().rps_list
+    assert summary["peak_rps"] == max(cluster_scale.Config.quick().rps_list)
+    # Formatting never touches the measurements: header + one line per
+    # row, a blank line, then one line per headline number.
+    assert cluster_scale.format_rows(result).count("\n") == (
+        len(rows) + 1 + len(summary)
     )
-    # Formatting never touches the measurements.
-    assert cluster_scale.format_rows(rows).count("\n") == len(rows)
 
 
 def test_seed_changes_the_digest():
-    base = cluster_scale.run(cluster_scale.ClusterScaleConfig.quick(seed=1))
-    other = cluster_scale.run(cluster_scale.ClusterScaleConfig.quick(seed=2))
+    quick = cluster_scale.Config.quick()
+    base = experiments.run("cluster-scale", dataclasses.replace(quick, seed=1))
+    other = experiments.run("cluster-scale", dataclasses.replace(quick, seed=2))
     assert results_digest(base) != results_digest(other)
 
 

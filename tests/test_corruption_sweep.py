@@ -33,7 +33,7 @@ def _point(**overrides):
 
 class TestGrid:
     def test_quick_grid_shape(self):
-        points = corruption_sweep.points(quick=True)
+        points = corruption_sweep.points(corruption_sweep.Config.quick())
         # 2 mechanisms x 1 rate x (2 policies + 1 checksums-off control).
         assert len(points) == 6
         off = [p for p in points if not p.param("checksums")]
@@ -41,7 +41,7 @@ class TestGrid:
         assert all(p.param("policy") == "none" for p in off)
 
     def test_full_grid_shape(self):
-        points = corruption_sweep.points()
+        points = corruption_sweep.points(corruption_sweep.Config())
         # 2 mechanisms x 3 rates x (4 policies + 1 control).
         assert len(points) == 30
 
@@ -96,12 +96,47 @@ class TestDeterminism:
         assert a.leaked_frames == b.leaked_frames == 0
 
 
+class TestGates:
+    def _row(self, **overrides):
+        fields = dict(
+            mechanism="cxlfork", rate=0.05, policy="ladder", checksums=True,
+            trials=1, survived_pct=100.0, wrong_bytes=0, repairs_cow=1,
+            repairs_replica=0, repairs_recheckpoint=0, p99_repair_ms=1.0,
+            offlined_frames=1, leaked_frames=0, detail="",
+        )
+        fields.update(overrides)
+        return corruption_sweep.SweepRow(**fields)
+
+    def test_clean_sweep_passes(self):
+        rows = [
+            self._row(),
+            self._row(policy="none", checksums=False, wrong_bytes=4096),
+        ]
+        assert corruption_sweep.gates(rows) == []
+
+    def test_control_serving_no_wrong_bytes_fails(self):
+        rows = [self._row(), self._row(policy="none", checksums=False)]
+        (message,) = corruption_sweep.gates(rows)
+        assert "checksums-off control" in message
+
+    def test_wrong_bytes_with_checksums_and_leaks_fail(self):
+        rows = [
+            self._row(wrong_bytes=4096, leaked_frames=2),
+            self._row(policy="none", checksums=False, wrong_bytes=4096),
+        ]
+        failures = corruption_sweep.gates(rows)
+        assert len(failures) == 2
+        assert "leaked 2 frames" in failures[0]
+        assert "checksums on" in failures[1]
+
+
 class TestCli:
     def test_main_exits_zero_on_quick_grid(self, capsys):
-        status = corruption_sweep.main(
-            ["--quick", "--function", "float", "--jobs", "2"]
-        )
+        from repro.__main__ import main
+
+        status = main(["run", "corruption-sweep", "--quick", "--jobs", "2"])
         out = capsys.readouterr().out
         assert status == 0
         assert "checksums on: 0" in out
         assert "must be 0" in out
+        assert "FAIL" not in out

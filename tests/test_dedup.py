@@ -11,6 +11,7 @@ from repro.check.invariants import check_pod
 from repro.check.oracle import DifferentialOracle
 from repro.dedup import DEDUP, NO_CODE
 from repro.dedup.selftest import run_smoke
+from repro import experiments
 from repro.experiments import density
 from repro.experiments.common import make_pod, prepare_parent
 from repro.rfork.registry import get_mechanism
@@ -258,18 +259,18 @@ class TestDedupOffRegression:
             mechanisms=("cxlfork",),
             max_instances=4,
         )
-        baseline = results_digest(density.run("float", **kwargs))
+        baseline = results_digest(density.run_budget("float", **kwargs))
         with DEDUP.force(True):
-            # Populate an index in *some* pod; classic run() builds its own
+            # Populate an index in *some* pod; run_budget() builds its own
             # pods and must not see it.
             seeded = make_pod(dram_bytes=1 * GIB, cxl_bytes=4 * GIB)
             seeded.fabric.chunk_index.register(
                 701, int(seeded.fabric.alloc_frames(1)[0])
             )
-        assert results_digest(density.run("float", **kwargs)) == baseline
+        assert results_digest(density.run_budget("float", **kwargs)) == baseline
 
     def test_cross_rows_dedup_off_share_nothing(self):
-        rows = density.run_cross(quick=True)
+        rows = experiments.run("density", density.Config.quick())["rows"]
         off = [r for r in rows if not r.dedup]
         on = [r for r in rows if r.dedup]
         assert off and on

@@ -4,7 +4,7 @@ import pytest
 
 from repro.experiments import (
     density,
-    failure,
+    failure_sweep,
     fig7_performance,
     fig9_sensitivity,
     keepalive_study,
@@ -38,17 +38,19 @@ class TestFormatters:
             mechanism="cxlfork", function="bert", instances=98,
             local_mb_per_instance=31.1, cxl_shared_mb=598.9,
         )
-        text = density.format_rows([row])
+        text = density.format_budget([row])
         assert "98" in text
         assert f"{row.dedup_saved_mb:.0f}" in text
 
     def test_failure_format(self):
-        row = failure.FailureRow(
-            mechanism="mitosis-cxl", survived=False, restore_ms=0.0,
-            detail="checkpoint lost",
+        row = failure_sweep.SweepRow(
+            mechanism="mitosis-cxl", stage="between", fraction=0.0,
+            crashed_node="node0", survived=False, recovery_ms=0.0,
+            leaked_frames=0, detail="checkpoint lost",
         )
-        text = failure.format_rows([row])
+        text = failure_sweep.format_rows([row])
         assert "False" in text and "checkpoint lost" in text
+        assert "mitosis-cxl  survival rate: 0%" in text
 
     def test_write_heavy_format(self):
         row = write_heavy.WriteHeavyRow(
@@ -84,7 +86,7 @@ class TestSummariesOnSyntheticRows:
             Fig7Row("f", "criu-cxl", 20, 2, 8, 30, 95.0),
             Fig7Row("f", "mitosis-cxl", 3, 7, 8, 18, 40.0),
         ]
-        summary = fig7_performance.summarize(rows)
+        summary = fig7_performance.headline(rows)
         assert summary["cold_vs_cxlfork"] == pytest.approx(100 / 11)
         assert summary["criu_vs_cxlfork"] == pytest.approx(30 / 11)
         assert summary["mem_cxlfork_vs_cold"] == pytest.approx(0.05)
@@ -94,5 +96,5 @@ class TestSummariesOnSyntheticRows:
             write_heavy.WriteHeavyRow(0.1, 1.0, 10, 0.5, 0.5),
             write_heavy.WriteHeavyRow(0.5, 1.0, 12, 0.2, 0.8),  # regression!
         ]
-        summary = write_heavy.summarize(rows)
+        summary = write_heavy.headline(rows)
         assert not summary["savings_monotonically_blunted"]

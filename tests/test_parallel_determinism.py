@@ -75,50 +75,40 @@ class TestExperimentDigests:
     """jobs=1 / jobs=2 / jobs=8 produce identical results_digest."""
 
     def test_fig7_quick_grid_digest_invariant_across_jobs(self):
+        from repro import experiments
         from repro.experiments import fig7_performance
 
-        functions = ["float", "json"]
-        serial = fig7_performance.run(functions=functions)
-        digest = results_digest(serial)
+        config = fig7_performance.Config.quick()
+        digest = results_digest(experiments.run("fig7", config))
         for jobs in (2, 8):
-            parallel = fig7_performance.run(functions=functions, jobs=jobs)
+            parallel = experiments.run("fig7", config, jobs=jobs)
             assert results_digest(parallel) == digest, f"jobs={jobs} diverged"
 
     @pytest.mark.slow
     def test_failure_sweep_quick_digest_invariant_across_jobs(self):
+        from repro import experiments
         from repro.experiments import failure_sweep
 
-        serial = failure_sweep.run(quick=True, seed=0)
-        digest = results_digest(serial)
-        parallel = failure_sweep.run(quick=True, seed=0, jobs=2)
+        config = failure_sweep.Config.quick()
+        digest = results_digest(experiments.run("failure-sweep", config))
+        parallel = experiments.run("failure-sweep", config, jobs=2)
         assert results_digest(parallel) == digest
 
     @pytest.mark.slow
     def test_cluster_quick_digest_invariant_across_jobs(self):
+        from repro import experiments
         from repro.experiments import cluster_scale
 
-        config = cluster_scale.ClusterScaleConfig.quick()
-        serial = cluster_scale.run(config)
-        digest = results_digest(serial)
-        parallel = cluster_scale.run(config, jobs=2)
+        config = cluster_scale.Config.quick()
+        digest = results_digest(experiments.run("cluster-scale", config))
+        parallel = experiments.run("cluster-scale", config, jobs=2)
         assert results_digest(parallel) == digest
 
     def test_experiment_point_grids_have_unique_canonical_keys(self):
-        from repro.experiments import (
-            cluster_scale,
-            failure_sweep,
-            fig7_performance,
-            fig10_porter,
-            scalability,
-        )
+        from repro import experiments
 
-        grids = [
-            fig7_performance.points(),
-            failure_sweep.points(),
-            cluster_scale.points(cluster_scale.ClusterScaleConfig.quick()),
-            fig10_porter.points(fig10_porter.Fig10Config()),
-            scalability.points(),
-        ]
-        for grid in grids:
-            keys = [p.canonical_key for p in grid]
-            assert len(keys) == len(set(keys))
+        for name in experiments.REGISTRY:
+            module = experiments.load(name)
+            for config in (module.Config(), module.Config.quick()):
+                keys = [p.canonical_key for p in module.points(config)]
+                assert len(keys) == len(set(keys)), name

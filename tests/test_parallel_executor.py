@@ -18,7 +18,6 @@ from repro.parallel import (
     default_jobs,
     derive_seed,
     run_points,
-    run_points_flat,
 )
 
 
@@ -39,11 +38,6 @@ def sleep_inverse(point: SweepPoint) -> int:
     count = point.param("count")
     time.sleep(0.05 * (count - index))
     return index
-
-
-def rows_for(point: SweepPoint) -> list:
-    n = point.param("n")
-    return [f"{n}:{i}" for i in range(n)]
 
 
 def explode(point: SweepPoint):
@@ -174,9 +168,3 @@ class TestRunPoints:
             run_points(points, explode_on_two, jobs=2)
         notes = getattr(excinfo.value, "__notes__", [])
         assert any("index=2" in note for note in notes)
-
-    def test_run_points_flat_concatenates_in_order(self):
-        points = [SweepPoint.make("exp", n=n) for n in (2, 0, 3)]
-        flat = run_points_flat(points, rows_for, jobs=1)
-        assert flat == ["2:0", "2:1", "3:0", "3:1", "3:2"]
-        assert run_points_flat(points, rows_for, jobs=3) == flat
