@@ -18,10 +18,11 @@ Every experiment comes from the registry in :mod:`repro.experiments`.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import sys
 
-from repro import experiments
+from repro import experiments, runtime
 from repro.experiments import REGISTRY
 
 
@@ -41,6 +42,8 @@ def _cmd_run(
 ) -> int:
     """Run one experiment, print it, and exit non-zero on any gate failure."""
     from repro.check import CHECK
+    from repro.ras import RAS
+    from repro.rfork.restoreplan import RESTORE_PLAN
 
     if name not in REGISTRY:
         print(f"unknown experiment {name!r}; `python -m repro list`",
@@ -59,19 +62,16 @@ def _cmd_run(
 
         jobs = default_jobs()
     if check:
-        CHECK.reset()
-        CHECK.enable()
-    try:
+        runtime.zero()
+    with CHECK.force(True) if check else contextlib.nullcontext():
         result = experiments.run(name, config, jobs=jobs)
-    finally:
-        if check:
-            CHECK.disable()
     print(module.format_rows(result))
     failures = module.gates(result)
     for message in failures:
         print(f"FAIL: {message}")
     if check:
-        print(f"\n[check] {CHECK.summary()}")
+        print(f"\n[check] {CHECK.describe()}")
+        print(f"[check] {RAS.describe()}; {RESTORE_PLAN.describe()}")
     return 1 if failures else 0
 
 

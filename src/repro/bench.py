@@ -429,20 +429,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument(
         "--plan-off",
         action="store_true",
-        help="force the restore-plan cache off (REPRO_RESTORE_PLAN=0, "
-        "workers included); digests must still match the baselines",
+        help="turn the restore-plan cache off (workers included); "
+        "digests must still match the baselines",
     )
     args = parser.parse_args(argv)
 
     if args.plan_off:
-        # Set the env var (worker processes inherit it) *and* reset the
-        # already-constructed singleton so this process re-reads it.
-        import os
-
         from repro.rfork.restoreplan import RESTORE_PLAN
 
-        os.environ["REPRO_RESTORE_PLAN"] = "0"
-        RESTORE_PLAN.reset()
+        RESTORE_PLAN.disable()
 
     baseline_dir = Path(args.baseline_dir) if args.baseline_dir else None
     names = args.experiments or [

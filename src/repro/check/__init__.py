@@ -18,89 +18,67 @@ cheaper.  This package proves it on every run that opts in:
 * :mod:`repro.check.mutation` — env-var-gated deliberate bugs that the
   oracle must catch (the checker's own smoke test).
 
-Like :data:`repro.telemetry.TRACE`, a process-global :data:`CHECK` toggle
-lets the CLI (``python -m repro run <exp> --check``) and the experiment
-plumbing enable checking without threading a flag through every call site.
-All checks are read-only walks of simulator state and never advance a
-virtual clock, so enabling them cannot perturb experiment outputs — bench
-digests stay bit-identical.
+:data:`CHECK` is a :class:`repro.runtime.Switch`, so the CLI (``python -m
+repro run <exp> --check``) and the experiment plumbing turn checking on
+without threading a flag through every call site.  All checks are
+read-only walks of simulator state and never advance a virtual clock, so
+enabling them cannot perturb experiment outputs — bench digests stay
+bit-identical.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from repro.runtime import Switch
 
 
 class CheckFailure(AssertionError):
     """A correctness check failed (oracle divergence or invariant violation)."""
 
 
-@dataclass
-class CheckStats:
-    """Counters for one checking session."""
-
-    oracle_runs: int = 0
-    invariant_runs: int = 0
-    divergences: int = 0
-    violations: int = 0
-    failures: list = field(default_factory=list)
-
-    def merge(self, other: "CheckStats") -> None:
-        """Add another session's counters (e.g. one sweep point's) to these."""
-        self.oracle_runs += other.oracle_runs
-        self.invariant_runs += other.invariant_runs
-        self.divergences += other.divergences
-        self.violations += other.violations
-        self.failures.extend(other.failures)
-
-
-class CheckRuntime:
-    """Process-global switch for the correctness checkers.
-
-    Disabled by default (zero overhead).  When enabled, the experiment
-    plumbing snapshots parents, diffs children, and runs invariant sweeps;
-    any failure raises :class:`CheckFailure` unless ``raise_on_failure`` is
-    cleared, in which case failures accumulate in ``stats.failures``.
-    """
-
-    def __init__(self) -> None:
-        self.enabled = False
-        self.raise_on_failure = True
-        self.stats = CheckStats()
-
-    def enable(self) -> None:
-        self.enabled = True
-
-    def disable(self) -> None:
-        self.enabled = False
-
-    def reset(self) -> None:
-        self.enabled = False
-        self.raise_on_failure = True
-        self.stats = CheckStats()
+class Checker(Switch):
+    """The checkers' :class:`~repro.runtime.Switch`: off by default; when
+    active, the experiment plumbing diffs children and runs invariant
+    sweeps, counting each sweep and what it found."""
 
     def fail(self, message: str) -> None:
-        """Record a check failure; raise unless in accumulate mode."""
-        self.stats.failures.append(message)
-        if self.raise_on_failure:
-            raise CheckFailure(message)
+        """Count a check failure and raise it."""
+        self.failures += 1
+        raise CheckFailure(message)
 
-    def summary(self) -> str:
-        s = self.stats
-        if s.failures:
-            status = f"{len(s.failures)} FAILURE(S)"
-        elif s.oracle_runs or s.invariant_runs:
+    def tally(
+        self, runs: str, problems: str, found: int, report, *, fatal: bool = False
+    ) -> None:
+        """Count one sweep into ``runs``; a dirty ``report`` adds ``found``
+        to ``problems`` and counts a failure, raised when ``fatal``."""
+        if not self.active():
+            return
+        setattr(self, runs, getattr(self, runs) + 1)
+        if report.clean:
+            return
+        setattr(self, problems, getattr(self, problems) + found)
+        if fatal:
+            self.fail(report.describe())  # raises
+        self.failures += 1
+
+    def describe(self) -> str:
+        if self.failures:
+            status = f"{self.failures} FAILURE(S)"
+        elif self.oracle_runs or self.invariant_runs:
             status = "clean"
         else:
             status = "NOTHING CHECKED"
         return (
-            f"check: {s.oracle_runs} oracle run(s), "
-            f"{s.invariant_runs} invariant sweep(s), "
-            f"{s.divergences} divergence(s), {s.violations} violation(s) — {status}"
+            f"check: {self.oracle_runs} oracle run(s), "
+            f"{self.invariant_runs} invariant sweep(s), "
+            f"{self.divergences} divergence(s), {self.violations} violation(s)"
+            f" — {status}"
         )
 
 
-#: The process-global checking runtime (mirrors ``telemetry.TRACE``).
-CHECK = CheckRuntime()
+#: The process-global checking switch.
+CHECK = Checker(
+    "check",
+    counters=("oracle_runs", "invariant_runs", "divergences", "violations", "failures"),
+)
 
-__all__ = ["CHECK", "CheckFailure", "CheckRuntime", "CheckStats"]
+__all__ = ["CHECK", "CheckFailure", "Checker"]

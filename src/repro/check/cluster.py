@@ -39,6 +39,9 @@ class FederationAudit:
             a.clean for a in self.pod_audits.values()
         )
 
+    def describe(self) -> str:
+        return "federation audit: " + "; ".join(self.violations[:5])
+
 
 def audit_federation(router, *, include_pod_audits: bool = True) -> FederationAudit:
     """Audit frame ownership across all of a router's pods.
@@ -76,13 +79,9 @@ def audit_federation(router, *, include_pod_audits: bool = True) -> FederationAu
                 )
         if include_pod_audits and not pod.failed:
             report.pod_audits[pod.name] = pod.porter.audit_leaks()
-    if CHECK.enabled:
-        CHECK.stats.invariant_runs += 1
-        if not report.clean:
-            CHECK.stats.violations += len(report.violations)
-            CHECK.fail(
-                "federation audit: " + "; ".join(report.violations[:5])
-            )
+    CHECK.tally(
+        "invariant_runs", "violations", len(report.violations), report, fatal=True
+    )
     return report
 
 

@@ -467,35 +467,34 @@ def main(argv=None) -> int:
         return 0
 
     mechanisms = tuple(m.strip() for m in args.mechanisms.split(",") if m.strip())
-    CHECK.reset()
-    CHECK.enable()
+    CHECK.zero()
     status = 0
     total_steps = 0
-    for i in range(args.scenarios):
-        seed = args.seed + i
-        try:
-            result = run_scenario(seed, steps=args.steps, mechanisms=mechanisms)
-        except CheckFailure as failure:
-            print(f"seed {seed}: FAILED\n{failure}", file=sys.stderr)
-            status = 1
-            break
-        except PoisonError as poison:
-            # The RAS checksum detector firing is also a caught bug: the
-            # flip-frame-byte mutation surfaces here, not as an oracle
-            # divergence (the corrupt image is refused before it serves).
-            print(f"seed {seed}: FAILED (poison detected)\n{poison}",
-                  file=sys.stderr)
-            status = 1
-            break
-        total_steps += result.steps
-        print(
-            f"seed {seed}: ok — {result.ops_applied} op(s) x "
-            f"{len(mechanisms)} mechanism(s) = {result.steps} step(s), "
-            f"{result.oracle_runs} oracle run(s)"
-        )
-    print(CHECK.summary())
+    with CHECK.force(True):
+        for i in range(args.scenarios):
+            seed = args.seed + i
+            try:
+                result = run_scenario(seed, steps=args.steps, mechanisms=mechanisms)
+            except CheckFailure as failure:
+                print(f"seed {seed}: FAILED\n{failure}", file=sys.stderr)
+                status = 1
+                break
+            except PoisonError as poison:
+                # The RAS checksum detector firing is also a caught bug: the
+                # flip-frame-byte mutation surfaces here, not as an oracle
+                # divergence (the corrupt image is refused before it serves).
+                print(f"seed {seed}: FAILED (poison detected)\n{poison}",
+                      file=sys.stderr)
+                status = 1
+                break
+            total_steps += result.steps
+            print(
+                f"seed {seed}: ok — {result.ops_applied} op(s) x "
+                f"{len(mechanisms)} mechanism(s) = {result.steps} step(s), "
+                f"{result.oracle_runs} oracle run(s)"
+            )
+    print(CHECK.describe())
     print(f"total fuzzer steps: {total_steps}")
-    CHECK.disable()
     return status
 
 

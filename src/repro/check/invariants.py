@@ -195,11 +195,8 @@ def check_task(task, report: Optional[InvariantReport] = None) -> InvariantRepor
                 "leaf-residency", who,
                 f"cxl_resident PTE leaf {leaf_index} maps node-local memory",
             )
-    if standalone and CHECK.enabled:
-        CHECK.stats.invariant_runs += 1
-        if not report.clean:
-            CHECK.stats.violations += len(report.violations)
-            CHECK.stats.failures.append(report.describe())
+    if standalone:
+        CHECK.tally("invariant_runs", "violations", len(report.violations), report)
     return report
 
 
@@ -331,11 +328,7 @@ def check_pod(
         if not pod_audit.clean:
             report.add("frame-audit", "pod", pod_audit.describe())
 
-    if CHECK.enabled:
-        CHECK.stats.invariant_runs += 1
-        if not report.clean:
-            CHECK.stats.violations += len(report.violations)
-            CHECK.stats.failures.append(report.describe())
+    CHECK.tally("invariant_runs", "violations", len(report.violations), report)
     if raise_on_violation and not report.clean:
         raise CheckFailure(report.describe())
     return report

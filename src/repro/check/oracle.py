@@ -548,14 +548,9 @@ class DifferentialOracle:
         return report
 
     def _account(self, report: DivergenceReport, raise_on_divergence: bool) -> None:
-        if CHECK.enabled:
-            CHECK.stats.oracle_runs += 1
-        if report.clean:
-            return
-        if CHECK.enabled:
-            CHECK.stats.divergences += report.diverging_pages + len(report.structural)
-            CHECK.stats.failures.append(report.describe())
-        if raise_on_divergence:
+        found = report.diverging_pages + len(report.structural)
+        CHECK.tally("oracle_runs", "divergences", found, report)
+        if raise_on_divergence and not report.clean:
             raise CheckFailure(report.describe())
 
 

@@ -10,10 +10,11 @@ resident resolves to the existing frame instead of a private copy, a page
 that is all zeroes is elided entirely, and copy-on-write breaks a shared
 frame out for a writing child exactly as it does today.
 
-Like :data:`repro.ras.RAS`, deduplication is a module-level runtime switch
-(:data:`DEDUP`), but it defaults **off** and is *not* coupled to
-``CHECK.enabled``: the bench baselines pin dedup-off results bit-identical
-to the pre-dedup tree, and experiments opt in per run.
+Like :data:`repro.ras.RAS`, deduplication is a :class:`repro.runtime.Switch`
+(:data:`DEDUP`), but it defaults **off** and does *not* follow the
+checker: dedup changes placement, the bench baselines pin dedup-off
+results bit-identical to the pre-dedup tree, and experiments opt in per
+run.
 
 Content codes
 -------------
@@ -42,53 +43,12 @@ whole pod.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator, Optional
-
 from repro.dedup.chunkindex import NO_CODE, ChunkIndex, DedupStats
+from repro.runtime import Switch
 
 
-class DedupRuntime:
-    """Process-wide switch for content-addressed checkpoint storage.
-
-    Mirrors :class:`repro.ras.RasRuntime` (``enable``/``disable``/
-    ``reset``/``force``), but defaults off and never piggybacks on the
-    checker: dedup changes *placement*, and the committed bench digests
-    pin the dedup-off placement bit-for-bit.
-    """
-
-    def __init__(self) -> None:
-        self.enabled = False
-        self._forced: Optional[bool] = None
-
-    def enable(self) -> None:
-        self.enabled = True
-
-    def disable(self) -> None:
-        self.enabled = False
-
-    def reset(self) -> None:
-        self.enabled = False
-        self._forced = None
-
-    def active(self) -> bool:
-        if self._forced is not None:
-            return self._forced
-        return self.enabled
-
-    @contextmanager
-    def force(self, value: bool) -> Iterator[None]:
-        """Pin dedup on/off for a scope, overriding ``enabled``."""
-        previous = self._forced
-        self._forced = value
-        try:
-            yield
-        finally:
-            self._forced = previous
+#: The process-wide dedup switch (see module docstring).
+DEDUP = Switch("dedup")
 
 
-#: The process-wide dedup switch (default off; see class docstring).
-DEDUP = DedupRuntime()
-
-
-__all__ = ["DEDUP", "DedupRuntime", "ChunkIndex", "DedupStats", "NO_CODE"]
+__all__ = ["DEDUP", "ChunkIndex", "DedupStats", "NO_CODE"]

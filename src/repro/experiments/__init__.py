@@ -25,6 +25,8 @@ import functools
 import importlib
 from typing import Any
 
+from repro import runtime
+
 #: CLI name -> (module path, description), in report order.
 REGISTRY = {
     "table1": ("repro.experiments.table1", "Table 1: evaluation functions"),
@@ -63,29 +65,26 @@ def load(name: str):
     return importlib.import_module(REGISTRY[name][0])
 
 
-def _measured(run_point, point) -> tuple:
-    """Run one point against fresh check counters; return (row, counters).
-
-    Swapping in fresh :class:`~repro.check.CheckStats` makes the delta the
-    same whether the point runs inline or in a worker process, whose
-    counters would otherwise never reach the caller.
-    """
-    from repro.check import CHECK, CheckStats
-
-    outer, CHECK.stats = CHECK.stats, CheckStats()
+def _measured(run_point, states: dict, point) -> tuple:
+    """Run one point under the caller's switch ``states`` against zeroed
+    counters; return (row, counter deltas) — the same inline and in a
+    worker process, however it was started."""
+    runtime.apply(states)
+    outer = runtime.counts()
+    runtime.zero()
     try:
-        return run_point(point), CHECK.stats
+        return run_point(point), runtime.counts()
     finally:
-        CHECK.stats = outer
+        runtime.zero()
+        runtime.add(outer)
 
 
 def run(name: str, config=None, *, jobs: int = 1) -> Any:
     """Run experiment ``name`` (``Config()`` by default) over ``jobs`` workers.
 
-    The result is bit-identical for every ``jobs``; so are the
-    :data:`~repro.check.CHECK` counters, merged back in point order.
+    The result is bit-identical for every ``jobs``; so are the counters of
+    every :class:`~repro.runtime.Switch`, merged back in point order.
     """
-    from repro.check import CHECK
     from repro.parallel import run_points
 
     module = load(name)
@@ -93,11 +92,11 @@ def run(name: str, config=None, *, jobs: int = 1) -> Any:
         config = module.Config()
     measured = run_points(
         module.points(config),
-        functools.partial(_measured, module.run_point),
+        functools.partial(_measured, module.run_point, runtime.snapshot()),
         jobs=jobs,
     )
-    for _, stats in measured:
-        CHECK.stats.merge(stats)
+    for _, deltas in measured:
+        runtime.add(deltas)
     return module.summarize([row for row, _ in measured])
 
 

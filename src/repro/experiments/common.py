@@ -149,7 +149,7 @@ def measure_cold_start(
         mech = get_mechanism("localfork")
         # The warm parent must live on the target node.
         local_parent = prepare_parent(pod, spec, node=target)
-        if CHECK.enabled:
+        if CHECK.active():
             from repro.check.oracle import DifferentialOracle
 
             oracle = DifferentialOracle(
@@ -159,7 +159,7 @@ def measure_cold_start(
         child = workload.placed_plan_for(local_parent.instance, restore.task)
     else:
         mech = get_mechanism(mechanism_name, fabric=pod.fabric, cxlfs=pod.cxlfs)
-        if CHECK.enabled:
+        if CHECK.active():
             from repro.check.oracle import DifferentialOracle
 
             oracle = DifferentialOracle(parent.instance.task, label=mechanism_name)
@@ -173,7 +173,7 @@ def measure_cold_start(
 
     invocation = workload.invoke(child)
 
-    if CHECK.enabled:
+    if CHECK.active():
         from repro.check.invariants import check_task
 
         # Post-invocation MMU invariants on the child, and — for forked

@@ -34,8 +34,6 @@ cannot perturb experiment results or committed digests.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 from repro.check import CHECK
 from repro.exceptions import PoisonError
 from repro.ras.checksum import (
@@ -44,68 +42,21 @@ from repro.ras.checksum import (
     verify_checkpoint,
     verify_frames,
 )
+from repro.runtime import Switch
 
 
-class RasRuntime:
-    """Process-global switch for RAS checksum verification.
-
-    Mirrors :class:`repro.check.CheckRuntime`: disabled by default so the
-    hot paths stay untouched, enabled explicitly or implicitly whenever
-    the differential checker is on (``CHECK.enabled``) — a checked run
-    should catch corruption too.  ``force()`` pins the decision for a
-    scope regardless of either flag; the corruption sweep uses it to run
-    checksums-off control cells even under ``repro run --check``.
-    """
-
-    def __init__(self) -> None:
-        self.enabled = False
-        self._forced: bool | None = None
-        self.seals = 0
-        self.verifications = 0
-        self.detections = 0
-
-    def enable(self) -> None:
-        self.enabled = True
-
-    def disable(self) -> None:
-        self.enabled = False
-
-    def reset(self) -> None:
-        self.enabled = False
-        self._forced = None
-        self.seals = 0
-        self.verifications = 0
-        self.detections = 0
-
-    def active(self) -> bool:
-        if self._forced is not None:
-            return self._forced
-        return self.enabled or CHECK.enabled
-
-    @contextmanager
-    def force(self, value: bool):
-        """Pin :meth:`active` to ``value`` for the scope (reentrant)."""
-        prev = self._forced
-        self._forced = bool(value)
-        try:
-            yield
-        finally:
-            self._forced = prev
-
-    def summary(self) -> str:
-        return (
-            f"ras: {self.seals} seals, {self.verifications} verifications, "
-            f"{self.detections} detections"
-        )
-
-
-#: The process-wide RAS runtime.
-RAS = RasRuntime()
+#: The process-wide RAS checksum switch.  Off by default so the hot paths
+#: stay untouched; active whenever the differential checker is (a checked
+#: run should catch corruption too).  ``RAS.force()`` pins the decision for
+#: a scope regardless of either; the corruption sweep uses it to run
+#: checksums-off control cells even under ``repro run --check``.
+RAS = Switch(
+    "ras", counters=("seals", "verifications", "detections"), follows=CHECK
+)
 
 
 __all__ = [
     "RAS",
-    "RasRuntime",
     "PoisonError",
     "checkpoint_frames",
     "seal_checkpoint",

@@ -30,7 +30,6 @@ from repro.rfork.registry import MECHANISMS, get_mechanism
 from repro.rfork.restoreplan import (
     RESTORE_PLAN,
     RestorePlan,
-    RestorePlanRuntime,
     drop_plan,
     plan_for,
 )
@@ -38,7 +37,6 @@ from repro.rfork.restoreplan import (
 __all__ = [
     "RESTORE_PLAN",
     "RestorePlan",
-    "RestorePlanRuntime",
     "drop_plan",
     "plan_for",
     "CheckpointMetrics",

@@ -56,77 +56,26 @@ it would catch the corruption.
 Everything a plan serves is bit-identical to what a planless restore
 computes, so simulated time, metrics breakdowns, and bench digests are
 unchanged with the cache on or off (``RESTORE_PLAN.force(False)`` scopes
-a differential check; the ``REPRO_RESTORE_PLAN=0`` environment variable
-forces it off process-wide, workers included).
+a differential check; ``RESTORE_PLAN.disable()`` turns it off for the
+process, and the experiment runner carries that to its workers).
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Optional
 
 from repro.check import mutation as _mutation
 from repro.ras import RAS
 from repro.ras.checksum import verify_frames
+from repro.runtime import Switch
 
 
-class RestorePlanRuntime:
-    """Process-wide switch for the restore-plan cache (default **on**).
-
-    Mirrors :class:`repro.ras.RasRuntime` / :class:`repro.dedup
-    .DedupRuntime`: a module-level singleton with an override stack for
-    differential tests.  Unlike those, the cache is purely a host-side
-    optimization, so it defaults on and is forced off only to prove the
-    bit-identical contract (CI runs the quick digests both ways).
-    """
-
-    def __init__(self) -> None:
-        self.enabled = os.environ.get("REPRO_RESTORE_PLAN", "1") != "0"
-        self._forced: Optional[bool] = None
-        self.builds = 0
-        self.hits = 0
-        self.invalidations = 0
-
-    def enable(self) -> None:
-        self.enabled = True
-
-    def disable(self) -> None:
-        self.enabled = False
-
-    def active(self) -> bool:
-        if self._forced is not None:
-            return self._forced
-        return self.enabled
-
-    @contextmanager
-    def force(self, value: bool) -> Iterator[None]:
-        """Temporarily pin the runtime on/off (differential testing)."""
-        saved = self._forced
-        self._forced = value
-        try:
-            yield
-        finally:
-            self._forced = saved
-
-    def reset(self) -> None:
-        self.enabled = os.environ.get("REPRO_RESTORE_PLAN", "1") != "0"
-        self._forced = None
-        self.builds = 0
-        self.hits = 0
-        self.invalidations = 0
-
-    def summary(self) -> dict:
-        return {
-            "enabled": self.enabled,
-            "builds": self.builds,
-            "hits": self.hits,
-            "invalidations": self.invalidations,
-        }
-
-
-#: The singleton every mechanism consults.
-RESTORE_PLAN = RestorePlanRuntime()
+#: The switch every mechanism consults.  Default **on**: the cache is a
+#: host-side optimization, forced off only to prove the bit-identical
+#: contract (CI runs the quick digests both ways).
+RESTORE_PLAN = Switch(
+    "restore-plan", default=True, counters=("builds", "hits", "invalidations")
+)
 
 
 class RestorePlan:
@@ -258,7 +207,6 @@ def verify_planned(pool: Any, plan: RestorePlan, *, context: str) -> None:
 __all__ = [
     "RESTORE_PLAN",
     "RestorePlan",
-    "RestorePlanRuntime",
     "cached_plan",
     "checkpoint_plan_epoch",
     "drop_plan",

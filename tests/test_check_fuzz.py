@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.check import CHECK
 from repro.check.fuzz import (
     DEFAULT_MECHANISMS,
     ScenarioRunner,
@@ -9,6 +10,7 @@ from repro.check.fuzz import (
     main,
     run_scenario,
 )
+from repro.ras import RAS
 
 
 class TestDeterminism:
@@ -35,10 +37,10 @@ class TestLockstepAcceptance:
         result = run_scenario(0, steps=70)
         assert result.ok
         assert result.steps >= 200
-        assert check_enabled.stats.divergences == 0
-        assert check_enabled.stats.violations == 0
-        assert check_enabled.stats.oracle_runs > 0
-        assert check_enabled.stats.invariant_runs > 0
+        assert check_enabled.divergences == 0
+        assert check_enabled.violations == 0
+        assert check_enabled.oracle_runs > 0
+        assert check_enabled.invariant_runs > 0
 
     def test_short_scenarios_clean(self, check_enabled):
         for seed in (1, 2):
@@ -59,3 +61,9 @@ class TestCli:
     def test_list_mutations(self, capsys):
         assert main(["--list-mutations"]) == 0
         assert "drop-ckpt-cow" in capsys.readouterr().out
+
+    def test_error_leaves_checking_off(self):
+        with pytest.raises(ValueError):
+            main(["--mechanisms", "nope", "--steps", "2"])
+        assert not CHECK.active()
+        assert not RAS.active()

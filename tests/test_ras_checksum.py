@@ -36,14 +36,6 @@ class TestRuntime:
     def test_check_enabled_implies_ras(self, check_enabled):
         assert RAS.active()
 
-    def test_force_overrides_both_flags(self, check_enabled):
-        with RAS.force(False):
-            assert not RAS.active()
-            with RAS.force(True):  # reentrant
-                assert RAS.active()
-            assert not RAS.active()
-        assert RAS.active()
-
 
 class TestSealAndVerify:
     @pytest.mark.parametrize("mech_name", ["cxlfork", "criu-cxl"])

@@ -10,12 +10,7 @@ from repro.faas.workload import FunctionWorkload
 from repro.ras import RAS, checkpoint_frames
 from repro.ras.checksum import invalidate_restore_plan
 from repro.rfork.registry import get_mechanism
-from repro.rfork.restoreplan import (
-    RESTORE_PLAN,
-    RestorePlanRuntime,
-    cached_plan,
-    plan_key,
-)
+from repro.rfork.restoreplan import RESTORE_PLAN, cached_plan, plan_key
 from repro.sim.units import GIB
 
 MECHANISMS = ["cxlfork", "criu-cxl", "mitosis-cxl"]
@@ -41,12 +36,6 @@ class TestRuntime:
     def test_on_by_default(self):
         assert RESTORE_PLAN.active()
 
-    def test_env_var_disables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RESTORE_PLAN", "0")
-        assert not RestorePlanRuntime().active()
-        monkeypatch.setenv("REPRO_RESTORE_PLAN", "1")
-        assert RestorePlanRuntime().active()
-
     def test_force_overrides_and_nests(self):
         with RESTORE_PLAN.force(False):
             assert not RESTORE_PLAN.active()
@@ -54,10 +43,6 @@ class TestRuntime:
                 assert RESTORE_PLAN.active()
             assert not RESTORE_PLAN.active()
         assert RESTORE_PLAN.active()
-
-    def test_summary_shape(self):
-        summary = RESTORE_PLAN.summary()
-        assert set(summary) == {"enabled", "builds", "hits", "invalidations"}
 
 
 class TestMemoization:
