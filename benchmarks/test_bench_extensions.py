@@ -6,8 +6,7 @@ These implement the paper's own discussion-section agenda (§8) plus the
 * node-failure survival (§3.1: Mitosis' parent node is a point of failure;
   CXLfork's CXL-resident checkpoints are not);
 * CXL bandwidth contention at many nodes + bandwidth-aware tiering (§8);
-* keep-alive window sizing under cheap cold starts (§5 future work);
-* FaaS workflows passing data by reference over CXL (§8).
+* keep-alive window sizing under cheap cold starts (§5 future work).
 """
 
 from repro.experiments import (
@@ -109,41 +108,3 @@ def test_extension_write_heavy(once, capsys):
     assert summary["savings_monotonically_blunted"]
     assert summary["local_frac_read_mostly"] < 0.15
     assert summary["local_frac_write_heavy"] > 0.45
-
-
-def test_extension_workflow_pass_by_reference(once, capsys):
-    from repro.experiments.common import make_pod
-    from repro.faas.workflows import (
-        TransferMode,
-        Workflow,
-        WorkflowEngine,
-        WorkflowStage,
-    )
-
-    workflow = Workflow(
-        "inference-pipeline",
-        (
-            WorkflowStage("json", payload_out_mb=64),
-            WorkflowStage("cnn", payload_out_mb=16),
-            WorkflowStage("html", payload_out_mb=0.1, consume_frac=0.5),
-        ),
-    )
-
-    def run_both():
-        pod = make_pod()
-        engine = WorkflowEngine(pod)
-        engine.prepare(workflow)
-        copy = engine.run(workflow, TransferMode.COPY)
-        ref = engine.run(workflow, TransferMode.REFERENCE)
-        return copy, ref
-
-    copy, ref = once(run_both)
-    with capsys.disabled():
-        print(f"\n=== Extension: workflow transfers ===")
-        print(f"copy:      total {copy.total_ms:7.1f} ms, "
-              f"transfer {copy.transfer_ms:6.2f} ms")
-        print(f"reference: total {ref.total_ms:7.1f} ms, "
-              f"transfer {ref.transfer_ms:6.2f} ms")
-    # Pass-by-reference slashes the transfer component (§8's motivation).
-    assert ref.transfer_ms < copy.transfer_ms / 3
-    assert ref.total_ms < copy.total_ms

@@ -1,19 +1,11 @@
-"""Analysis helpers: statistics, table formatting, and report generation."""
+"""Analysis helpers: table formatting, plotting and report generation."""
 
-from repro.analysis.dedup import DedupReport, measure_dedup
-from repro.analysis.plotting import ascii_bar_chart, ascii_series
+from repro.analysis.plotting import ascii_series
 from repro.analysis.report import generate_report
-from repro.analysis.stats import geometric_mean, percentile, summary_stats
 from repro.analysis.tables import format_table
 
 __all__ = [
-    "DedupReport",
-    "measure_dedup",
-    "ascii_bar_chart",
     "ascii_series",
-    "geometric_mean",
-    "percentile",
-    "summary_stats",
     "format_table",
     "generate_report",
 ]

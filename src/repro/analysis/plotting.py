@@ -1,52 +1,11 @@
-"""Terminal plotting: ASCII bar charts and line series for the figures.
+"""Terminal plotting: ASCII line series for the figures.
 
-The experiments print tables by default; these helpers render the same
-data approximately the way the paper's figures look — grouped bars per
-function (Figs. 1, 7, 8, 10) and per-function line series over a swept
-parameter (Fig. 9) — without any plotting dependency.
+The experiments print tables by default; this helper renders per-function
+line series over a swept parameter the way Fig. 9 looks, without any
+plotting dependency.
 """
 
 from __future__ import annotations
-
-
-#: Default bar-drawing width in characters.
-BAR_WIDTH = 44
-
-
-def ascii_bar_chart(
-    groups: "list[tuple[str, dict]]",
-    *,
-    width: int = BAR_WIDTH,
-    unit: str = "",
-    log_note: bool = False,
-) -> str:
-    """Grouped horizontal bars.
-
-    ``groups`` is ``[(group_label, {series_label: value, ...}), ...]`` —
-    e.g. one group per function with one bar per mechanism.  Bars are
-    scaled to the global maximum.
-    """
-    if not groups:
-        return "(no data)"
-    peak = max(
-        (value for _, series in groups for value in series.values() if value > 0),
-        default=1.0,
-    )
-    series_width = max(
-        (len(label) for _, series in groups for label in series), default=4
-    )
-    lines = []
-    if log_note:
-        lines.append(f"(bars scaled linearly to max={peak:.3g}{unit})")
-    for group_label, series in groups:
-        lines.append(f"{group_label}")
-        for label, value in series.items():
-            filled = int(round(width * value / peak)) if peak else 0
-            bar = "█" * max(filled, 1 if value > 0 else 0)
-            lines.append(
-                f"  {label:<{series_width}} |{bar:<{width}}| {value:.2f}{unit}"
-            )
-    return "\n".join(lines)
 
 
 def ascii_series(
@@ -92,4 +51,4 @@ def ascii_series(
     return "\n".join(lines)
 
 
-__all__ = ["ascii_bar_chart", "ascii_series", "BAR_WIDTH"]
+__all__ = ["ascii_series"]

@@ -10,8 +10,7 @@ outlook over the per-pod machinery:
   bandwidth contention, control RTTs);
 * :mod:`~repro.cluster.replication` — portable checkpoint images shipped
   between pods' object stores and re-materialized (re-rebased) on arrival;
-* :mod:`~repro.cluster.membership` — pods as failure domains, heartbeat-
-  detected at pod granularity;
+* :mod:`~repro.cluster.membership` — pods as failure domains;
 * :mod:`~repro.cluster.router` — the global two-level scheduler routing
   each invocation to a pod by locality, load, and free CXL capacity.
 

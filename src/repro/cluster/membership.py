@@ -4,31 +4,16 @@ A pod — one CXL device plus the nodes cabled to it — is the blast radius
 of a fabric failure (§3.1 treats the device as the shared fate domain; a
 node crash loses nothing, a device crash loses the pod).  The federation
 layer therefore reasons about *pods* the way a pod's CXLporter reasons
-about *nodes*: each pod is a heartbeat target, and
-:class:`~repro.porter.failure_detector.HeartbeatDetector` is reused
-verbatim at pod granularity — a :class:`PodHandle` quacks like a
-``ComputeNode`` (``.name``/``.failed``/``.suspected``/``.slow_factor``/
-``.log``), so missed-heartbeat counting, gray-failure suspicion, and
-``on_dead`` callbacks all come for free.
+about *nodes*: a failed pod stops being a routing target.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Optional
-
-from repro.porter.failure_detector import HeartbeatDetector
-from repro.sim.events import EventQueue
-from repro.sim.log import EventLog
-from repro.sim.units import MS
 
 
 class PodHandle:
-    """One pod as seen by the federation: identity, resources, health.
-
-    Duck-types the node surface :class:`HeartbeatDetector` polls, so the
-    existing detector runs unmodified with pods as its "nodes".
-    """
+    """One pod as seen by the federation: identity, resources, health."""
 
     def __init__(self, name: str, fabric, nodes: list, *, cxlfs=None,
                  porter=None) -> None:
@@ -39,31 +24,17 @@ class PodHandle:
         #: The pod's CXLporter deployment (set after construction when the
         #: porter is built around the handle).
         self.porter = porter
-        #: Gray-failure flag, set by the detector (same protocol as nodes).
-        self.suspected = False
-        #: RAS verdict: the pod serves, but its CXL pool is losing frames
-        #: to poison — the router steers overflow away (same protocol as
-        #: nodes; set by the detector's degrade threshold).
-        self.degraded = False
-        self.log = EventLog(enabled=False)
         #: Whole-pod failure (CXL device power loss), distinct from all
         #: nodes happening to crash individually.
         self._device_failed = False
         self._replica_ids = itertools.count(1)
 
-    # -- detector surface -------------------------------------------------------
+    # -- health -----------------------------------------------------------------
 
     @property
     def failed(self) -> bool:
         """The pod can serve nothing: device gone or every node down."""
         return self._device_failed or all(n.failed for n in self.nodes)
-
-    @property
-    def slow_factor(self) -> float:
-        """Worst live node's slowdown — a pod is as gray as its slowest
-        still-serving member (dead nodes don't count; they're failures)."""
-        live = [n.slow_factor for n in self.nodes if not n.failed]
-        return max(live, default=1.0)
 
     @property
     def poison_rate(self) -> float:
@@ -106,32 +77,10 @@ class PodHandle:
 
 
 class PodMembership:
-    """Join/leave/fail tracking for the cluster's pods.
+    """Join/leave/fail tracking for the cluster's pods."""
 
-    Wraps one :class:`HeartbeatDetector` whose "nodes" are the pod
-    handles.  Detection latency scales the same way it does inside a pod:
-    ``miss_threshold * interval_ns`` from device failure to the router
-    learning about it.
-    """
-
-    def __init__(
-        self,
-        queue: EventQueue,
-        *,
-        interval_ns: int = int(500 * MS),
-        miss_threshold: int = 3,
-        on_pod_dead: Optional[Callable[[PodHandle], None]] = None,
-    ) -> None:
-        self.queue = queue
+    def __init__(self) -> None:
         self._pods: dict[str, PodHandle] = {}
-        self.on_pod_dead = on_pod_dead
-        self.detector = HeartbeatDetector(
-            [],
-            queue,
-            interval_ns=interval_ns,
-            miss_threshold=miss_threshold,
-            on_dead=self._pod_declared_dead,
-        )
 
     # -- membership -------------------------------------------------------------
 
@@ -139,21 +88,11 @@ class PodMembership:
         if pod.name in self._pods:
             raise ValueError(f"pod {pod.name!r} already joined")
         self._pods[pod.name] = pod
-        self.detector.nodes.append(pod)
-        self.detector.misses[pod.name] = 0
         return pod
 
     def leave(self, name: str) -> PodHandle:
         """Graceful departure: the pod stops being a routing target."""
-        pod = self._pods.pop(name)
-        self.detector.nodes.remove(pod)
-        self.detector.misses.pop(name, None)
-        self.detector.declared_dead.pop(name, None)
-        return pod
-
-    def _pod_declared_dead(self, pod: PodHandle) -> None:
-        if self.on_pod_dead is not None:
-            self.on_pod_dead(pod)
+        return self._pods.pop(name)
 
     # -- views ------------------------------------------------------------------
 
@@ -165,21 +104,11 @@ class PodMembership:
         return self._pods[name]
 
     def live_pods(self) -> list:
-        """Pods the router may target: not failed, not declared dead."""
-        return [
-            p
-            for p in self._pods.values()
-            if not p.failed and p.name not in self.detector.declared_dead
-        ]
+        """Pods the router may target: the ones not failed."""
+        return [p for p in self._pods.values() if not p.failed]
 
     def __len__(self) -> int:
         return len(self._pods)
-
-    def start(self) -> None:
-        self.detector.start()
-
-    def stop(self) -> None:
-        self.detector.stop()
 
 
 __all__ = ["PodHandle", "PodMembership"]

@@ -3,7 +3,7 @@
 Level one picks a *pod* for each invocation; level two is the chosen
 pod's own CXLporter, which picks a node exactly as it does standalone.
 The router never reaches past the pod boundary — intra-pod placement,
-keep-alive, tiering, and node failover all stay the pod's business
+keep-alive, tiering, and node crashes all stay the pod's business
 (§8's "global scheduler" sketched over the per-pod autoscaler of §5).
 
 Pod choice weighs three signals, in deterministic join order:
@@ -24,9 +24,9 @@ Failure handling composes the two levels: a pod whose porter gives up on
 a request (node exhaustion, memory-retry exhaustion) offers it back via
 the porter's ``drop_handler`` and the router re-routes it to another live
 pod — up to ``max_reroutes`` times, so a globally-sick cluster still
-terminates.  Whole-pod failures are detected by heartbeat at pod
-granularity (:mod:`repro.cluster.membership`); routing with *no* live pod
-left raises :class:`~repro.exceptions.FederationExhaustedError`, which is
+terminates.  A failed pod leaves the routing targets
+(:mod:`repro.cluster.membership`); routing with *no* live pod left
+raises :class:`~repro.exceptions.FederationExhaustedError`, which is
 deliberately distinct from a single pod's
 :class:`~repro.exceptions.PodExhaustedError`.
 """
@@ -43,7 +43,7 @@ from repro.exceptions import FederationExhaustedError
 from repro.faas.traces import Request
 from repro.porter.metrics import LatencyRecorder
 from repro.sim.events import EventQueue
-from repro.sim.units import MS, SEC
+from repro.sim.units import SEC
 from repro.telemetry import TRACE
 
 _REPLICATION_POLICIES = ("none", "pull", "push")
@@ -67,23 +67,13 @@ class RouterConfig:
     locality_weight: float = 50.0
     load_weight: float = 20.0
     capacity_weight: float = 5.0
-    suspect_penalty: float = 40.0
     #: RAS steering: a pod's poison rate folds into its pressure, scaled
     #: so 2% of the device poisoned reads as a fully loaded pod (the
     #: two-level scheduler then overflows away from the decaying device).
     poison_pressure_scale: float = 50.0
-    #: Flat penalty for a detector-degraded pod, milder than suspect —
-    #: degraded pods serve correctly (checksums + repair), they just
-    #: should not win ties for new growth.
-    degraded_penalty: float = 20.0
     #: Times a request may bounce between pods before its last pod
     #: records it as failed.
     max_reroutes: int = 2
-    #: Pod-granularity heartbeat detection (off by default, like the
-    #: porter's node detector, to keep fault-free schedules exact).
-    failure_detection: bool = False
-    heartbeat_interval_ns: int = int(500 * MS)
-    heartbeat_miss_threshold: int = 3
     user: str = "tenant0"
 
     def __post_init__(self) -> None:
@@ -97,10 +87,6 @@ class RouterConfig:
         if self.poison_pressure_scale < 0:
             raise ValueError(
                 f"poison_pressure_scale must be >= 0: {self.poison_pressure_scale}"
-            )
-        if self.degraded_penalty < 0:
-            raise ValueError(
-                f"degraded_penalty must be >= 0: {self.degraded_penalty}"
             )
 
 
@@ -131,12 +117,7 @@ class ClusterRouter:
             raise ValueError("a federation needs at least one pod")
         self.queue = queue
         self.config = config or RouterConfig()
-        self.membership = PodMembership(
-            queue,
-            interval_ns=self.config.heartbeat_interval_ns,
-            miss_threshold=self.config.heartbeat_miss_threshold,
-            on_pod_dead=self._handle_pod_failure,
-        )
+        self.membership = PodMembership()
         for pod in pods:
             if pod.porter is None:
                 raise ValueError(f"pod {pod.name!r} has no porter deployment")
@@ -230,10 +211,6 @@ class ClusterRouter:
             score += cfg.capacity_weight * (
                 pod.free_cxl_bytes() / max(pod.fabric.device.capacity_bytes, 1)
             )
-        if pod.suspected:
-            score -= cfg.suspect_penalty
-        if getattr(pod, "degraded", False):
-            score -= cfg.degraded_penalty
         return score
 
     def submit(self, request: Request) -> None:
@@ -289,7 +266,7 @@ class ClusterRouter:
         )
 
     def _pod_submit(self, pod: PodHandle, request: Request) -> None:
-        if pod.failed or pod.name in self.membership.detector.declared_dead:
+        if pod.failed:
             # Died between routing and delivery: route again elsewhere.
             self._resubmit(request)
             return
@@ -328,17 +305,6 @@ class ClusterRouter:
                 best, best_score = candidate, score
         self._deliver(best, request)
         return True
-
-    def _handle_pod_failure(self, pod: PodHandle) -> None:
-        """Membership callback: a pod was declared dead.
-
-        The pod's in-flight work unwinds through the porter's own node
-        failover (every node is dead, so its drops come back through
-        ``_reroute``).  Images it exclusively held are simply gone —
-        demand re-checkpoints on survivors via the §5 protocol.
-        """
-        TRACE.count("cluster.pods_declared_dead")
-        pod.log.emit(self.queue.now, "pod_declared_dead", pod=pod.name)
 
     def _record_lost(self, request: Request) -> None:
         """No live pod anywhere: account the request on any recorder so
@@ -380,10 +346,6 @@ class ClusterRouter:
             self.queue.schedule_after(
                 porter.config.controller_tick_ns, porter._controller_tick
             )
-            if porter.detector is not None:
-                porter.detector.start()
-        if self.config.failure_detection:
-            self.membership.start()
         horizon = until
         if horizon is None:
             horizon = (max(r.when for r in requests) if requests else 0) + 120 * SEC

@@ -89,10 +89,6 @@ class FrameAllocator:
         #: shortfall in frames and returns True if it freed memory (the
         #: allocation is retried once) — direct-reclaim, allocator-style.
         self.pressure_handler = None
-        #: Optional fault-injection hook called with the requested count at
-        #: the top of every allocation; it may raise :class:`OutOfMemoryError`
-        #: to model a transient allocation failure (see repro.faults).
-        self.fault_hook = None
         #: Set when the pool's owner (a node) crashed: the memory is gone,
         #: so refcount traffic against it becomes a no-op and allocation
         #: always fails.  See :meth:`quarantine`.
@@ -186,8 +182,6 @@ class FrameAllocator:
             raise ValueError(f"negative allocation: {count}")
         if self.quarantined:
             raise OutOfMemoryError(self, count)
-        if self.fault_hook is not None:
-            self.fault_hook(count)
         if count > self.free_frames:
             handler = self.pressure_handler
             if handler is not None:

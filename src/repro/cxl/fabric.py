@@ -66,10 +66,6 @@ class CxlFabric:
     def latency(self) -> MemoryLatencyModel:
         return self.device.latency
 
-    def set_latency(self, latency: MemoryLatencyModel) -> None:
-        """Swap the latency model (Fig. 9 sensitivity sweeps)."""
-        self.device.spec.latency = latency
-
     # -- allocation -------------------------------------------------------------
 
     def alloc_frames(self, count: int) -> np.ndarray:

@@ -172,13 +172,9 @@ def _run_cell(
     else:
         raise ValueError(f"unknown stage {stage!r}")
 
-    crash_instant = victim.clock.now
     survived, recovery_ms, detail = _recover(
         pod, mech, parent_a, ckpt_a, survivor
     )
-    # Detection latency is not modeled here (the porter's heartbeat
-    # detector owns that); recovery_ms is pure restore + first invocation.
-    del crash_instant
     audit = audit_pod(
         pod.fabric, pod.nodes, cxlfs=pod.cxlfs, checkpoints=checkpoints
     )

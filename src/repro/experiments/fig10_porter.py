@@ -80,7 +80,7 @@ def _porter_for(arm: str, nodes, fabric) -> CxlPorter:
     if arm == "cxlfork-mow":
         config = PorterConfig(mechanism="cxlfork", static_mow=True)
     else:
-        config = PorterConfig(mechanism=arm.replace("cxlfork", "cxlfork"))
+        config = PorterConfig(mechanism=arm)
     cxlfs = CxlFileSystem(fabric) if config.mechanism == "criu-cxl" else None
     return CxlPorter(nodes, fabric, config=config, cxlfs=cxlfs)
 

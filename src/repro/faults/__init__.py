@@ -12,14 +12,6 @@ Fault model (see docs/RESILIENCE.md):
 * **Node crash** — :meth:`FaultInjector.crash_at` arms a clock alarm that
   fires `node.fail()` at an exact virtual nanosecond, including in the
   middle of a synchronous checkpoint or restore.
-* **Transient CXL allocation failure** — :meth:`FaultInjector.transient_oom`
-  makes a frame pool throw :class:`~repro.cxl.allocator.OutOfMemoryError`
-  for the next N allocations (or probabilistically).
-* **Fabric degradation** — :meth:`FaultInjector.degrade_fabric` inflates the
-  CXL round-trip latency for a window (a congested or retrained link).
-* **Gray failure** — :meth:`FaultInjector.slow_node` multiplies a node's
-  operation costs without killing it; failure detectors must tell slow
-  from dead.
 * **Memory poison** — :meth:`FaultInjector.poison_frame` /
   :meth:`FaultInjector.poison_range` flip deterministic frames to a
   POISONED state in a frame pool, silently (no exception at injection
@@ -33,19 +25,12 @@ auditing in :mod:`repro.faults.audit`.
 """
 
 from repro.faults.audit import PodAudit, audit_pod, expected_refcounts
-from repro.faults.injector import (
-    DegradationWindow,
-    FaultInjector,
-    InjectedCrash,
-    TransientFaultHandle,
-)
+from repro.faults.injector import FaultInjector, InjectedCrash
 from repro.faults.recovery import RetryExhaustedError, RetryPolicy, call_with_retries
 
 __all__ = [
     "FaultInjector",
     "InjectedCrash",
-    "TransientFaultHandle",
-    "DegradationWindow",
     "RetryPolicy",
     "RetryExhaustedError",
     "call_with_retries",

@@ -14,14 +14,13 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from repro.cxl.allocator import FrameAllocator, OutOfMemoryError
+from repro.cxl.allocator import FrameAllocator
 from repro.os.kernel import NodeFailedError
 from repro.sim.clock import ClockAlarm
-from repro.sim.rng import RngStream, SeedSequenceFactory
+from repro.sim.rng import SeedSequenceFactory
 from repro.telemetry import TRACE
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.cxl.fabric import CxlFabric
     from repro.os.node import ComputeNode
 
 
@@ -33,102 +32,11 @@ class InjectedCrash(NodeFailedError):
     """
 
 
-class TransientFaultHandle:
-    """An installed transient-allocation-failure hook; ``remove()`` to stop.
-
-    Fails the next ``failures`` allocations outright, and after that each
-    allocation independently with ``probability`` (if given), drawing from
-    the injector's RNG stream so the failure pattern is seed-stable.
-    """
-
-    def __init__(
-        self,
-        pool: FrameAllocator,
-        *,
-        failures: int = 0,
-        probability: Optional[float] = None,
-        rng: Optional[RngStream] = None,
-    ) -> None:
-        if probability is not None and rng is None:
-            raise ValueError("probabilistic faults need an RNG stream")
-        self.pool = pool
-        self.remaining = int(failures)
-        self.probability = probability
-        self.rng = rng
-        self.injected = 0
-        self._prev = pool.fault_hook
-        self._removed = False
-        pool.fault_hook = self
-
-    def __call__(self, count: int) -> None:
-        if self._prev is not None:
-            self._prev(count)
-        fire = False
-        if self.remaining > 0:
-            self.remaining -= 1
-            fire = True
-        elif self.probability is not None and self.rng.uniform() < self.probability:
-            fire = True
-        if fire:
-            self.injected += 1
-            TRACE.count("faults.transient_oom")
-            raise OutOfMemoryError(self.pool, count)
-
-    def remove(self) -> None:
-        if self._removed:
-            return
-        self._removed = True
-        if self.pool.fault_hook is self:
-            self.pool.fault_hook = self._prev
-
-    def __enter__(self) -> "TransientFaultHandle":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.remove()
-
-
-class DegradationWindow:
-    """A fabric latency/bandwidth degradation in effect until ``end()``.
-
-    Models a congested or retraining CXL link: the round-trip latency is
-    multiplied by ``factor`` and copy bandwidths scale down with it (via
-    :meth:`MemoryLatencyModel.with_cxl_latency`).
-    """
-
-    def __init__(self, fabric: "CxlFabric", factor: float) -> None:
-        if factor < 1.0:
-            raise ValueError(f"degradation factor must be >= 1.0: {factor}")
-        self.fabric = fabric
-        self.factor = factor
-        self._saved = fabric.latency
-        self._ended = False
-        fabric.set_latency(
-            self._saved.with_cxl_latency(self._saved.cxl_access_ns * factor)
-        )
-        TRACE.count("faults.degradation_start")
-
-    def end(self) -> None:
-        if self._ended:
-            return
-        self._ended = True
-        self.fabric.set_latency(self._saved)
-        TRACE.count("faults.degradation_end")
-
-    def __enter__(self) -> "DegradationWindow":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.end()
-
-
 class FaultInjector:
     """Schedules deterministic faults against a pod.
 
     One injector per experiment; it owns the ``faults`` RNG stream and
-    tracks everything it armed so :meth:`cancel_all` restores a quiescent
-    pod (alarms disarmed, hooks removed, degradations ended, slow nodes
-    back to full speed).
+    tracks every alarm it armed so :meth:`cancel_all` disarms them.
     """
 
     def __init__(
@@ -140,9 +48,6 @@ class FaultInjector:
         factory = rng if rng is not None else SeedSequenceFactory(seed)
         self.rng = factory.stream("faults")
         self._alarms: list[ClockAlarm] = []
-        self._hooks: list[TransientFaultHandle] = []
-        self._windows: list[DegradationWindow] = []
-        self._slowed: list["ComputeNode"] = []
 
     # -- crashes ------------------------------------------------------------
 
@@ -193,60 +98,6 @@ class FaultInjector:
         alarm = node.clock.at(deadline_ns, action)
         self._alarms.append(alarm)
         return alarm
-
-    def crash_after(
-        self, node: "ComputeNode", delta_ns: int, *, raising: bool = True
-    ) -> ClockAlarm:
-        """Arm a crash ``delta_ns`` virtual nanoseconds from now."""
-        return self.crash_at(node, node.clock.now + int(delta_ns), raising=raising)
-
-    # -- transient allocation failures --------------------------------------
-
-    def transient_oom(
-        self,
-        pool: FrameAllocator,
-        *,
-        failures: int = 1,
-        probability: Optional[float] = None,
-    ) -> TransientFaultHandle:
-        """Make ``pool`` fail its next ``failures`` allocations.
-
-        With ``probability`` set, subsequent allocations also fail at that
-        rate, drawn deterministically from the injector's stream.
-        """
-        handle = TransientFaultHandle(
-            pool, failures=failures, probability=probability, rng=self.rng
-        )
-        self._hooks.append(handle)
-        return handle
-
-    # -- fabric degradation --------------------------------------------------
-
-    def degrade_fabric(
-        self, fabric: "CxlFabric", *, factor: float
-    ) -> DegradationWindow:
-        """Begin a latency/bandwidth degradation window on the fabric."""
-        window = DegradationWindow(fabric, factor)
-        self._windows.append(window)
-        return window
-
-    # -- gray failures --------------------------------------------------------
-
-    def slow_node(self, node: "ComputeNode", factor: float) -> None:
-        """Put ``node`` into gray failure: alive but ``factor``× slower."""
-        if factor < 1.0:
-            raise ValueError(f"slow factor must be >= 1.0: {factor}")
-        node.slow_factor = float(factor)
-        if node not in self._slowed:
-            self._slowed.append(node)
-        TRACE.count("faults.slow_node")
-        node.log.emit(node.clock.now, "fault_injected", fault="slow",
-                      node=node.name, factor=factor)
-
-    def restore_node_speed(self, node: "ComputeNode") -> None:
-        node.slow_factor = 1.0
-        if node in self._slowed:
-            self._slowed.remove(node)
 
     # -- memory corruption (RAS) ----------------------------------------------
 
@@ -328,27 +179,10 @@ class FaultInjector:
     # -- lifecycle -------------------------------------------------------------
 
     def cancel_all(self) -> None:
-        """Disarm every pending fault and undo reversible ones."""
+        """Disarm every pending crash and poison alarm."""
         for alarm in self._alarms:
             alarm.cancel()
         self._alarms.clear()
-        for handle in self._hooks:
-            handle.remove()
-        self._hooks.clear()
-        # LIFO: nested windows on one fabric each saved the latency they
-        # observed at creation, so they must unwind innermost-first or the
-        # outer window's end() would be overwritten by a *degraded* save,
-        # leaking the degradation past the cancel.
-        for window in reversed(self._windows):
-            window.end()
-        self._windows.clear()
-        for node in list(self._slowed):
-            self.restore_node_speed(node)
 
 
-__all__ = [
-    "FaultInjector",
-    "InjectedCrash",
-    "TransientFaultHandle",
-    "DegradationWindow",
-]
+__all__ = ["FaultInjector", "InjectedCrash"]

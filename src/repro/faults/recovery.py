@@ -1,9 +1,9 @@
 """Recovery policies: capped exponential backoff with deterministic jitter.
 
-Used by the resilient remote-fork wrapper (transient CXL OOM during
-restore) and by the CXLporter autoscaler (memory-pressure requeues).  The
-jitter draws from a named :class:`~repro.sim.rng.RngStream` so retry
-schedules are part of the deterministic replay, unlike wall-clock jitter.
+Used by the RAS repair ladder (transient CXL OOM during repair) and by
+the CXLporter autoscaler (memory-pressure requeues).  The jitter draws
+from a named :class:`~repro.sim.rng.RngStream` so retry schedules are
+part of the deterministic replay, unlike wall-clock jitter.
 """
 
 from __future__ import annotations

@@ -331,135 +331,6 @@ class Kernel:
             task.mm.pagetable.map_range(vma.start_vpn, frames, int(flags))
         return vma
 
-    # -- address-space syscalls -------------------------------------------------------
-
-    #: Handler cost of an mprotect/munmap call (excluding leaf copies).
-    MPROTECT_BASE_NS = 1_500.0
-    MUNMAP_BASE_NS = 1_800.0
-
-    def mprotect(
-        self, task: Task, start_vpn: int, npages: int, perms: "VmaPerms"
-    ) -> FaultStats:
-        """Change protections on a whole-VMA-aligned range.
-
-        Splits the VMA as needed, rewrites PTE permission bits, and — when
-        the affected VMA/PTE leaves are checkpoint-attached — privatizes
-        them first (the §4.2.1 lazy-copy path, reached from the OS API
-        rather than a fault).
-        """
-        self._check_alive()
-        stats = FaultStats()
-        mm = task.mm
-        vma = mm.vmas.find(start_vpn)
-        if vma is None or start_vpn + npages > vma.end_vpn:
-            raise SegfaultError(f"mprotect outside a VMA at vpn {start_vpn}")
-        pos, _ = mm.vmas.find_leaf(start_vpn)
-        leaf, copied = mm.vmas.privatize_leaf(pos)
-        if copied:
-            stats.add(
-                FaultKind.VMA_LEAF_COW, 1, self.fault_cost(FaultKind.VMA_LEAF_COW)
-            )
-        from dataclasses import replace as dc_replace
-
-        pieces = []
-        target = vma
-        if start_vpn > vma.start_vpn:
-            head, target = target.split_at(start_vpn)
-            pieces.append(head)
-        if start_vpn + npages < target.end_vpn:
-            target, tail = target.split_at(start_vpn + npages)
-            pieces.append(tail)
-        changed = dc_replace(target, perms=perms)
-        mm.vmas.remove(vma)
-        for piece in pieces + [changed]:
-            mm.vmas.insert(piece)
-
-        # Rewrite hardware write permission on present PTEs.
-        writable = bool(perms & VmaPerms.WRITE)
-        flips = 0
-        for pleaf, leaf_index, sl, _ in mm.pagetable.iter_existing_range(
-            start_vpn, npages
-        ):
-            window = pleaf.ptes[sl]
-            present = (window & _PRESENT) != 0
-            if not present.any():
-                continue
-            if pleaf.shared:
-                pleaf = self._privatize_pte_leaf(task, leaf_index, stats)
-                window = pleaf.ptes[sl]
-                present = (window & _PRESENT) != 0
-            if writable:
-                # Writable again: CoW-marked pages stay CoW (they are
-                # shared); only plainly read-only private pages regain W.
-                mask = present & ((window & _COW) == 0) & ((window & _WRITE) == 0)
-                window[mask] |= _WRITE
-            else:
-                mask = present & ((window & _WRITE) != 0)
-                window[mask] &= ~_WRITE
-            flips += int(mask.sum())
-        if flips:
-            stats.add_cost(self.fault_costs.tlb.shootdown_cost_ns(flips, batched=True))
-        stats.add_cost(self.MPROTECT_BASE_NS)
-        self.clock.advance(stats.cost_ns)
-        return stats
-
-    def munmap(self, task: Task, vma: Vma) -> FaultStats:
-        """Unmap a whole VMA, releasing its frames."""
-        self._check_alive()
-        stats = FaultStats()
-        mm = task.mm
-        found = mm.vmas.find_leaf(vma.start_vpn)
-        if found is None:
-            raise SegfaultError(f"munmap of unmapped VMA at vpn {vma.start_vpn}")
-        pos, _ = found
-        leaf, copied = mm.vmas.privatize_leaf(pos)
-        if copied:
-            stats.add(
-                FaultKind.VMA_LEAF_COW, 1, self.fault_cost(FaultKind.VMA_LEAF_COW)
-            )
-        current = mm.vmas.find(vma.start_vpn)
-        mm.vmas.remove(current)
-
-        backing = mm.ckpt_backing
-        holds = backing is None or backing.holds_frame_refs
-        unmapped = 0
-        local_unmapped = 0
-        for pleaf, leaf_index, sl, _ in mm.pagetable.iter_existing_range(
-            current.start_vpn, current.npages
-        ):
-            window = pleaf.ptes[sl]
-            present = (window & _PRESENT) != 0
-            if not present.any():
-                continue
-            if pleaf.shared:
-                pleaf = self._privatize_pte_leaf(task, leaf_index, stats)
-                window = pleaf.ptes[sl]
-                present = (window & _PRESENT) != 0
-            frames = (window[present] >> PTE_FRAME_SHIFT).astype(np.int64)
-            on_cxl = (window[present] & _CXL) != 0
-            if on_cxl.any() and holds:
-                self.node.fabric.put_frames(frames[on_cxl])
-            local = frames[~on_cxl]
-            if local.size:
-                self.node.dram.put(local)
-                local_unmapped += int(local.size)
-            unmapped += int(present.sum())
-            window[present] = 0
-        if unmapped:
-            stats.add_cost(
-                self.fault_costs.tlb.shootdown_cost_ns(unmapped, batched=True)
-            )
-            # Approximation: page-cache frames among the unmapped local
-            # pages were never "owned", but the split is not tracked per
-            # page; clamping keeps the accounting sane.
-            released = min(mm.owned_local_pages, local_unmapped)
-            mm.owned_local_pages -= released
-            if task.cgroup is not None:
-                task.cgroup.uncharge(released * PAGE_SIZE)
-        stats.add_cost(self.MUNMAP_BASE_NS)
-        self.clock.advance(stats.cost_ns)
-        return stats
-
     # -- local fork -----------------------------------------------------------------
 
     #: Handler cost of duplicating one VMA struct during fork.
@@ -562,10 +433,6 @@ class Kernel:
         return child, stats
 
     # -- the fault path ----------------------------------------------------------------
-
-    def handle_fault(self, task: Task, vpn: int, *, write: bool) -> FaultStats:
-        """Resolve a single access (test/fidelity path)."""
-        return self.access_range(task, vpn, 1, write=write)
 
     def access_range(
         self,

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import bisect
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 #: VMAs per checkpointable tree leaf.  Linux maple-tree nodes hold 10-16
@@ -80,19 +80,6 @@ class Vma:
 
     def is_file_backed(self) -> bool:
         return self.kind in (VmaKind.FILE_PRIVATE, VmaKind.FILE_SHARED)
-
-    def split_at(self, vpn: int) -> tuple["Vma", "Vma"]:
-        """Split into two VMAs at ``vpn`` (must be strictly inside)."""
-        if not (self.start_vpn < vpn < self.end_vpn):
-            raise ValueError(f"split point {vpn} outside ({self.start_vpn}, {self.end_vpn})")
-        head = replace(self, npages=vpn - self.start_vpn)
-        tail = replace(
-            self,
-            start_vpn=vpn,
-            npages=self.end_vpn - vpn,
-            file_offset_pages=self.file_offset_pages + (vpn - self.start_vpn),
-        )
-        return head, tail
 
 
 class VmaLeaf:
@@ -300,29 +287,6 @@ class VmaTree:
         leaf.invalidate()
         if index == 0:
             self._keys = None  # leaf start key may have moved
-
-    def remove(self, vma: Vma) -> None:
-        """Remove an exact VMA (munmap of a whole area)."""
-        found = self.find_leaf(vma.start_vpn)
-        if found is not None and vma in found[1].vmas:
-            self._remove_from_leaf(found[0], found[1], vma)
-            return
-        # Defensive slow path: the caller's VMA is not where the index says
-        # it should be (e.g. a stale reference); fall back to a full scan.
-        for pos, leaf in enumerate(self._leaves):
-            if vma in leaf.vmas:
-                self._remove_from_leaf(pos, leaf, vma)
-                return
-        raise ValueError(f"VMA not in tree: {vma}")
-
-    def _remove_from_leaf(self, pos: int, leaf: VmaLeaf, vma: Vma) -> None:
-        if leaf.shared:
-            raise PermissionError("remove from shared VMA leaf; privatize first")
-        leaf.vmas.remove(vma)
-        leaf.invalidate()
-        if not leaf.vmas:
-            del self._leaves[pos]
-        self._invalidate()
 
     # -- attach (restore path) ----------------------------------------------------
 

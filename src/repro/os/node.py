@@ -59,19 +59,9 @@ class ComputeNode:
         self.pagecache = PageCache(self.dram)
         self.kernel = Kernel(self)
         self.failed = False
-        #: Gray-failure state: >1.0 multiplies the node's operation costs
-        #: (a slow node that still answers), set by repro.faults.
-        self.slow_factor = 1.0
-        #: Set by a failure detector that saw missed heartbeats but has not
-        #: yet declared the node dead; schedulers avoid suspected nodes.
-        self.suspected = False
-        #: RAS verdict, distinct from dead and from suspected: the node
-        #: answers heartbeats but its memory is losing frames to poison
-        #: (see HeartbeatDetector.degrade_poison_rate).
-        self.degraded = False
         #: Callbacks run by :meth:`fail` after local teardown — the pod
-        #: janitor and the porter detector register here to reclaim shared
-        #: state owned by the dead node.
+        #: janitor registers here to reclaim shared state owned by the
+        #: dead node.
         self.crash_hooks: list = []
         # Direct reclaim: allocation pressure first asks registered
         # application victims, then drops page cache (repro.os.mm.reclaim).

@@ -8,7 +8,6 @@ pressure.
 """
 
 from repro.porter.autoscaler import CxlPorter, PorterConfig
-from repro.porter.failure_detector import HeartbeatDetector
 from repro.porter.ghostpool import GhostContainerPool
 from repro.porter.keepalive import KeepAlivePolicy
 from repro.porter.metrics import LatencyRecorder
@@ -23,7 +22,6 @@ from repro.porter.tiering_controller import TieringController
 __all__ = [
     "CxlPorter",
     "PorterConfig",
-    "HeartbeatDetector",
     "GhostContainerPool",
     "KeepAlivePolicy",
     "LatencyRecorder",

@@ -31,7 +31,6 @@ from repro.faults.recovery import RetryPolicy
 from repro.os.kernel import NodeFailedError
 from repro.os.node import ComputeNode
 from repro.os.proc.task import TaskState
-from repro.porter.failure_detector import HeartbeatDetector
 from repro.porter.ghostpool import GhostContainerPool
 from repro.porter.keepalive import KeepAlivePolicy
 from repro.porter.metrics import LatencyRecorder
@@ -91,13 +90,6 @@ class PorterConfig:
     memory_retry_jitter: float = 0.25
     #: Seed for the deployment's private RNG streams (retry jitter).
     seed: int = 0
-    #: Run the heartbeat failure detector (off by default: fault-free
-    #: experiments keep their exact event schedules).
-    failure_detection: bool = False
-    #: Heartbeat poll interval.
-    heartbeat_interval_ns: int = int(500 * MS)
-    #: Consecutive missed heartbeats before a node is declared dead.
-    heartbeat_miss_threshold: int = 3
     #: Controller tick (SLO evaluation + periodic A-bit refresh).
     controller_tick_ns: int = int(1 * SEC)
     #: Refresh checkpointed A bits every this many ticks.
@@ -179,7 +171,7 @@ class CxlPorter:
         self.factories = {node.name: ContainerFactory(node) for node in self.nodes}
         self._functions: dict[str, _FunctionState] = {}
         self._idle: dict[str, dict[str, list]] = {n.name: {} for n in self.nodes}
-        self._fifo: dict[str, deque] = {n.name: deque() for n in self.nodes}
+        self._fifo: dict[str, deque[Callable]] = {n.name: deque() for n in self.nodes}
         self._slots: dict[str, int] = {}
         for node in self.nodes:
             node._porter_running = 0
@@ -215,15 +207,6 @@ class CxlPorter:
         #: id(request) -> memory retries so far (entries appear on the
         #: first retry and are popped on completion or drop).
         self._retry_attempts: dict[int, int] = {}
-        self.detector: Optional[HeartbeatDetector] = None
-        if self.config.failure_detection:
-            self.detector = HeartbeatDetector(
-                self.nodes,
-                self.queue,
-                interval_ns=self.config.heartbeat_interval_ns,
-                miss_threshold=self.config.heartbeat_miss_threshold,
-                on_dead=self._handle_node_failure,
-            )
         for node in self.nodes:
             # The node's reclaimer asks us first (idle-instance eviction),
             # then falls back to dropping page cache on its own.
@@ -307,9 +290,7 @@ class CxlPorter:
         node = self.scheduler.pick_warm(request.function, self._has_idle)
         if node is not None:
             record = self._take_idle(node, request.function)
-            self._node_submit(
-                node, lambda: self._execute_warm(record, request), request=request
-            )
+            self._node_submit(node, lambda: self._execute_warm(record, request))
             return
         entry = self.store.query(
             self.config.user, request.function, now=self.queue.now
@@ -321,26 +302,18 @@ class CxlPorter:
             return
         if entry is not None:
             self._node_submit(
-                node,
-                lambda: self._execute_restore(node, entry, request),
-                request=request,
+                node, lambda: self._execute_restore(node, entry, request)
             )
         else:
-            self._node_submit(
-                node, lambda: self._execute_cold(node, request), request=request
-            )
+            self._node_submit(node, lambda: self._execute_cold(node, request))
 
     # -- node execution machinery ----------------------------------------------------
 
-    def _node_submit(
-        self, node: ComputeNode, work: Callable, *, request: Optional[Request] = None
-    ) -> None:
+    def _node_submit(self, node: ComputeNode, work: Callable) -> None:
         if node._porter_running < self._slots[node.name]:
             self._start_work(node, work)
         else:
-            # The request rides along so work still queued when the node
-            # dies can be re-placed on a survivor.
-            self._fifo[node.name].append((work, request))
+            self._fifo[node.name].append(work)
 
     def _start_work(self, node: ComputeNode, work: Callable) -> None:
         node._porter_running += 1
@@ -359,8 +332,7 @@ class CxlPorter:
         on_done()
         fifo = self._fifo[node.name]
         while fifo and node._porter_running < self._slots[node.name]:
-            work, _ = fifo.popleft()
-            self._start_work(node, work)
+            self._start_work(node, fifo.popleft())
 
     def _update_offered_load(self) -> None:
         """Mirror the running-instance count into the fabric's bandwidth
@@ -698,117 +670,6 @@ class CxlPorter:
         else:
             container.destroy()
 
-    # -- failover ---------------------------------------------------------------------------
-
-    def _handle_node_failure(self, node: ComputeNode) -> None:
-        """Detector callback: a node was declared dead.
-
-        Re-places everything the dead node owed the control plane:
-        pending FIFO work is resubmitted through the scheduler, orphaned
-        keep-alive instances are re-warmed from the object store onto
-        survivors, and checkpoints coupled to the dead node (Mitosis
-        templates) are invalidated so their functions re-checkpoint.
-        """
-        TRACE.count("porter.failovers")
-        name = node.name
-
-        # Checkpoints whose state died with the node are unusable.
-        for entry in self.store.entries():
-            parent = getattr(entry.checkpoint, "parent_node", None)
-            if parent is node:
-                self.store.evict(entry.cid)
-                state = self._functions.get(entry.function)
-                if state is not None:
-                    state.checkpointed = False
-                TRACE.count("porter.ckpts_lost_to_crash")
-
-        # Orphaned keep-alive instances: their tasks died with the node;
-        # cancel expiries and re-warm replacements on survivors.
-        orphans = self._idle[name]
-        self._idle[name] = {}
-        for function, pool in orphans.items():
-            for record in pool:
-                if record.expiry_event is not None:
-                    self.queue.cancel(record.expiry_event)
-                    record.expiry_event = None
-                self._replace_orphan(function)
-
-        # Pending FIFO work: the closures are bound to the dead node;
-        # re-place the underlying requests via the scheduler.
-        pending = self._fifo[name]
-        self._fifo[name] = deque()
-        node._porter_running = 0
-        for _, request in pending:
-            if request is not None:
-                TRACE.count("porter.replaced_requests")
-                self._resubmit(request)
-
-    def _replace_orphan(self, function: str) -> None:
-        """Re-warm one keep-alive instance lost to a crash on a survivor."""
-        entry = self.store.query(self.config.user, function, now=self.queue.now)
-        if entry is None:
-            return  # no checkpoint to restore from; demand will cold-start
-        try:
-            survivor = self.scheduler.pick_for_start(lambda n: n._porter_running)
-        except ClusterExhaustedError:
-            return
-        TRACE.count("porter.orphans_replaced")
-        self._node_submit(
-            survivor, lambda: self._execute_rewarm(survivor, entry, function)
-        )
-
-    def _execute_rewarm(self, node: ComputeNode, entry, function: str):
-        """Restore an instance purely to repopulate a warm pool (no request)."""
-        state = self._functions[function]
-        self._ensure_capacity(node, self._estimate_bytes(function))
-
-        def do() -> Optional[InstanceRecord]:
-            with TRACE.span(
-                "porter.rewarm", clock=node.clock, function=function
-            ):
-                container = None
-                try:
-                    if self.mechanism.supports_ghost_containers:
-                        ghost = self.ghostpools[node.name].acquire(function)
-                        if ghost is not None:
-                            node.clock.advance(ghost.trigger())
-                            container = ghost
-                    if container is None:
-                        container = self.factories[node.name].create(
-                            function, charge=True
-                        )
-                    policy = None
-                    if self.mechanism.name == "cxlfork":
-                        policy = self.controller.policy_for(function, node)
-                    result = self.mechanism.restore(
-                        entry.checkpoint, node, container=container, policy=policy
-                    )
-                    instance = state.workload.instance_from_plan(
-                        entry.plan, result.task
-                    )
-                    return InstanceRecord(
-                        instance=instance,
-                        node=node,
-                        container=container,
-                        function=function,
-                        busy=True,
-                    )
-                except (OutOfMemoryError, NodeFailedError):
-                    # Best-effort: demand will restore or cold-start later.
-                    self._release_container(node, container)
-                    return None
-
-        duration, record = self._measure(node, do)
-        if record is None:
-            return max(duration, 1), lambda: None
-
-        def on_done():
-            if record.node.failed:
-                return  # the survivor died too before the re-warm landed
-            self._make_idle(record)
-
-        return duration, on_done
-
     # -- memory management -----------------------------------------------------------------
 
     def _estimate_bytes(self, function: str, *, cold: bool = False) -> int:
@@ -886,8 +747,6 @@ class CxlPorter:
                 request.when, lambda r=request: self.submit(r), label="arrival"
             )
         self.queue.schedule_after(self.config.controller_tick_ns, self._controller_tick)
-        if self.detector is not None:
-            self.detector.start()
         horizon = until
         if horizon is None:
             horizon = (max(r.when for r in requests) if requests else 0) + 120 * SEC

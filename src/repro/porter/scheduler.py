@@ -20,10 +20,7 @@ class ClusterScheduler:
     2. otherwise, for a restore/cold start, the node with the most free
        memory that is not overloaded on CPU (least-loaded tiebreak).
 
-    Failed nodes are never candidates.  *Suspected* nodes (gray failures
-    flagged by the heartbeat detector) are avoided for new starts but keep
-    serving their existing warm instances; if every live node is
-    suspected, degraded placement beats dropping the request.
+    Failed nodes are never candidates.
     """
 
     nodes: list
@@ -41,11 +38,7 @@ class ClusterScheduler:
         self, running: Callable[[ComputeNode], int]
     ) -> ComputeNode:
         """Node for a new instance: most free memory, CPU as tiebreak."""
-        candidates = [
-            n for n in self.nodes if not n.failed and not n.suspected
-        ]
-        if not candidates:
-            candidates = [n for n in self.nodes if not n.failed]
+        candidates = [n for n in self.nodes if not n.failed]
         if not candidates:
             raise PodExhaustedError("every node in the pod has failed")
 

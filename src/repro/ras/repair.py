@@ -13,7 +13,7 @@ flagged a checkpoint (:class:`repro.exceptions.PoisonError`), the
    (the PR 6 ``Replicator`` ships full images; repair pulls only the
    poisoned pages back over the same link).  Costs link latency +
    bytes/bandwidth.
-3. **recheckpoint** — ``ResilientFork``-style clean slate: delete the
+3. **recheckpoint** — clean slate: delete the
    corrupt image and take a fresh checkpoint from the live parent.
 
 Every rung allocates *fresh* frames and drops the poisoned ones, whose

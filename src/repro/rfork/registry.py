@@ -12,9 +12,8 @@ from repro.rfork.cxlfork import CxlFork
 from repro.rfork.localfork import LocalFork
 from repro.rfork.mitosis import MitosisCxl
 
-#: The remote-fork mechanisms evaluated in Fig. 7 (plus the baselines and
-#: the fault-tolerant wrapper from the resilience extension).
-MECHANISMS = ("cxlfork", "criu-cxl", "mitosis-cxl", "localfork", "cold", "resilient")
+#: The remote-fork mechanisms evaluated in Fig. 7, plus the baselines.
+MECHANISMS = ("cxlfork", "criu-cxl", "mitosis-cxl", "localfork", "cold")
 
 
 def get_mechanism(
@@ -45,14 +44,6 @@ def get_mechanism(
         if builder is None:
             raise ValueError("cold start needs a function builder")
         return ColdStart(builder)
-    if name == "resilient":
-        from repro.rfork.resilient import ResilientFork
-
-        if fabric is None:
-            raise ValueError("resilient fork needs the fabric")
-        if cxlfs is None:
-            cxlfs = CxlFileSystem(fabric)
-        return ResilientFork(fabric=fabric, cxlfs=cxlfs)
     raise ValueError(f"unknown mechanism {name!r}; choose from {MECHANISMS}")
 
 

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.__main__ import main
-from repro.analysis.stats import geometric_mean, percentile, summary_stats
 from repro.analysis.tables import format_table
 from repro.experiments import REGISTRY
+from repro.experiments.common import geometric_mean
 
 
 class TestStats:
@@ -16,17 +16,6 @@ class TestStats:
     def test_geometric_mean_skips_nonpositive(self):
         assert geometric_mean([0, -5, 4]) == pytest.approx(4.0)
         assert geometric_mean([]) == 0.0
-
-    def test_percentile(self):
-        assert percentile(range(1, 101), 50) == pytest.approx(50.5)
-        assert percentile([], 99) is None
-
-    def test_summary_stats(self):
-        stats = summary_stats([1.0, 2.0, 3.0])
-        assert stats["min"] == 1.0
-        assert stats["max"] == 3.0
-        assert stats["count"] == 3
-        assert summary_stats([]) == {}
 
 
 class TestTables:
@@ -109,33 +98,3 @@ class TestCli:
             module = importlib.import_module(module_path)
             assert hasattr(module, "run_point")
             assert not hasattr(module, "main")
-
-
-class TestDedupAccounting:
-    def test_two_clones_share_everything(self, pod):
-        from repro.analysis.dedup import measure_dedup
-        from repro.experiments.common import prepare_parent
-        from repro.rfork.cxlfork import CxlFork
-
-        parent = prepare_parent(pod, "float")
-        mech = CxlFork()
-        ckpt, _ = mech.checkpoint(parent.instance.task)
-        pod.source.kernel.exit_task(parent.instance.task)
-        a = mech.restore(ckpt, pod.source)
-        b = mech.restore(ckpt, pod.target)
-        report = measure_dedup(pod.nodes)
-        assert report.process_count == 2
-        # Two sharers of (almost) the same frames: factor ≈ 2.
-        assert report.dedup_factor == pytest.approx(2.0, abs=0.1)
-        assert report.dedup_saved_bytes > 0
-        assert "deduplication saved" in report.format()
-
-    def test_no_cxl_means_factor_one(self, pod):
-        from repro.analysis.dedup import measure_dedup
-        from repro.faas.workload import FunctionWorkload
-
-        workload = FunctionWorkload("float")
-        workload.build_instance(pod.source)
-        report = measure_dedup(pod.nodes)
-        assert report.dedup_factor == 1.0
-        assert report.cxl_shared_bytes == 0

@@ -151,7 +151,7 @@ class TestMembership:
 
     def test_join_leave_live(self):
         _, pods = federation(pod_count=3)
-        membership = PodMembership(EventQueue())
+        membership = PodMembership()
         for pod in pods:
             membership.join(pod)
         assert [p.name for p in membership.pods()] == [p.name for p in pods]

@@ -1,16 +1,10 @@
-"""Extensions: failure injection, bandwidth model, migration, workflows."""
+"""Extensions: failure injection, bandwidth model, migration."""
 
 import numpy as np
 import pytest
 
 from repro.cxl.bandwidth import BandwidthTracker
 from repro.experiments.common import prepare_parent
-from repro.faas.workflows import (
-    TransferMode,
-    Workflow,
-    WorkflowEngine,
-    WorkflowStage,
-)
 from repro.os.kernel import NodeFailedError
 from repro.rfork.cxlfork import CxlFork
 from repro.rfork.mitosis import MitosisCxl
@@ -165,46 +159,6 @@ class TestHotPageMigration:
         migrate_hot_pages(pod.target.kernel, child.task)
         pod.target.kernel.exit_task(child.task)
         assert pod.fabric.used_bytes == used_after_ckpt
-
-
-class TestWorkflows:
-    def _workflow(self):
-        return Workflow(
-            "w",
-            (
-                WorkflowStage("float", payload_out_mb=8),
-                WorkflowStage("json", payload_out_mb=2, consume_frac=0.5),
-            ),
-        )
-
-    def test_reference_beats_copy_on_transfers(self, pod):
-        engine = WorkflowEngine(pod)
-        workflow = self._workflow()
-        engine.prepare(workflow)
-        copy = engine.run(workflow, TransferMode.COPY)
-        ref = engine.run(workflow, TransferMode.REFERENCE)
-        assert ref.transfer_ms < copy.transfer_ms
-        assert len(copy.stages) == 2
-
-    def test_stages_alternate_nodes(self, pod):
-        engine = WorkflowEngine(pod)
-        workflow = self._workflow()
-        result = engine.run(workflow, TransferMode.REFERENCE)
-        assert result.stages[0].node != result.stages[1].node
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Workflow("empty", ())
-        with pytest.raises(ValueError):
-            WorkflowStage("f", payload_out_mb=-1)
-        with pytest.raises(ValueError):
-            WorkflowStage("f", consume_frac=2.0)
-
-    def test_first_stage_has_no_inbound_transfer(self, pod):
-        engine = WorkflowEngine(pod)
-        result = engine.run(self._workflow(), TransferMode.COPY)
-        assert result.stages[0].transfer_in_ms == 0.0
-        assert result.stages[1].transfer_in_ms > 0.0
 
 
 class TestBandwidthRunningTotal:

@@ -10,14 +10,10 @@ cleanup handlers run exactly as they would on a real mid-operation panic.
 
 import pytest
 
-from repro.cxl.allocator import OutOfMemoryError
 from repro.experiments.common import make_pod, prepare_parent
 from repro.faults import FaultInjector, InjectedCrash, audit_pod
-from repro.faults.recovery import RetryPolicy
 from repro.os.kernel import NodeFailedError
-from repro.rfork.criu import CriuCheckpoint
 from repro.rfork.registry import get_mechanism
-from repro.rfork.resilient import ResilientFork
 from repro.sim.units import MS
 
 MECHANISMS = ["cxlfork", "criu-cxl", "mitosis-cxl"]
@@ -35,7 +31,7 @@ class TestMidCheckpointCrash:
         pod = make_pod()
         parent = prepare_parent(pod, "json")
         mech = get_mechanism(mech_name, fabric=pod.fabric, cxlfs=pod.cxlfs)
-        FaultInjector(seed=1).crash_after(pod.source, int(1 * MS))
+        FaultInjector(seed=1).crash_at(pod.source, pod.source.clock.now + int(1 * MS))
         with pytest.raises(InjectedCrash):
             mech.checkpoint(parent.instance.task)
         # Partially-written images, pins, and spans all rolled back.
@@ -50,7 +46,9 @@ class TestMidCheckpointCrash:
         mech = get_mechanism(mech_name, fabric=pod.fabric, cxlfs=pod.cxlfs)
         ckpt, _ = mech.checkpoint(parent.instance.task)
         fresh = prepare_parent(pod, "json", node=pod.nodes[1])
-        FaultInjector(seed=2).crash_after(pod.nodes[1], int(1 * MS))
+        FaultInjector(seed=2).crash_at(
+            pod.nodes[1], pod.nodes[1].clock.now + int(1 * MS)
+        )
         with pytest.raises(InjectedCrash):
             mech.checkpoint(fresh.instance.task)
         result = mech.restore(ckpt, pod.nodes[2])
@@ -81,7 +79,7 @@ class TestMidRestoreCrash:
         parent = prepare_parent(pod, "json")
         mech = get_mechanism(mech_name, fabric=pod.fabric, cxlfs=pod.cxlfs)
         ckpt, _ = mech.checkpoint(parent.instance.task)
-        FaultInjector(seed=4).crash_after(pod.target, int(1 * MS))
+        FaultInjector(seed=4).crash_at(pod.target, pod.target.clock.now + int(1 * MS))
         with pytest.raises(InjectedCrash):
             mech.restore(ckpt, pod.target)
         report = audit(pod, [ckpt])
@@ -94,87 +92,10 @@ class TestMidRestoreCrash:
         parent = prepare_parent(pod, "json")
         mech = get_mechanism(mech_name, fabric=pod.fabric, cxlfs=pod.cxlfs)
         ckpt, _ = mech.checkpoint(parent.instance.task)
-        FaultInjector(seed=5).crash_after(pod.target, int(1 * MS))
+        FaultInjector(seed=5).crash_at(pod.target, pod.target.clock.now + int(1 * MS))
         with pytest.raises(InjectedCrash):
             mech.restore(ckpt, pod.target)
         result = mech.restore(ckpt, pod.nodes[2])
         assert result.task.node is pod.nodes[2]
-        report = audit(pod, [ckpt])
-        assert report.clean, report.describe()
-
-
-class TestResilientFork:
-    def _resilient(self, pod, *, max_attempts=3):
-        return ResilientFork(
-            fabric=pod.fabric,
-            cxlfs=pod.cxlfs,
-            policy=RetryPolicy(
-                base_ns=int(1 * MS),
-                cap_ns=int(8 * MS),
-                max_attempts=max_attempts,
-                jitter=0.0,
-            ),
-        )
-
-    def test_transient_oom_is_retried(self):
-        pod = make_pod()
-        parent = prepare_parent(pod, "json")
-        resilient = self._resilient(pod)
-        handle = FaultInjector(seed=6).transient_oom(
-            pod.fabric.device.frames, failures=1
-        )
-        before = pod.source.clock.now
-        ckpt, metrics = resilient.checkpoint(parent.instance.task)
-        assert handle.injected == 1
-        # Still a CXLfork image: one backoff, no degradation.
-        assert not isinstance(ckpt, CriuCheckpoint)
-        assert pod.source.clock.now - before >= int(1 * MS)  # backoff was paid
-        handle.remove()
-        report = audit(pod, [ckpt])
-        assert report.clean, report.describe()
-
-    def test_persistent_exhaustion_falls_back_to_criu(self):
-        pod = make_pod()
-        parent = prepare_parent(pod, "json")
-        resilient = self._resilient(pod, max_attempts=2)
-        # Exactly exhaust the cxlfork retry budget; the CRIU fallback's
-        # allocations then go through unharmed.
-        handle = FaultInjector(seed=7).transient_oom(
-            pod.fabric.device.frames, failures=2
-        )
-        ckpt, metrics = resilient.checkpoint(parent.instance.task)
-        assert isinstance(ckpt, CriuCheckpoint)
-        handle.remove()
-        # A degraded checkpoint restores transparently through CRIU.
-        result = resilient.restore(ckpt, pod.target)
-        assert result.task.node is pod.target
-        report = audit(pod, [ckpt])
-        assert report.clean, report.describe()
-
-    def test_dead_node_is_not_retried(self):
-        pod = make_pod()
-        parent = prepare_parent(pod, "json")
-        resilient = self._resilient(pod)
-        ckpt, _ = resilient.checkpoint(parent.instance.task)
-        pod.target.fail()
-        before = pod.target.clock.now
-        with pytest.raises(NodeFailedError):
-            resilient.restore(ckpt, pod.target)
-        assert pod.target.clock.now == before  # no backoff against the dead
-
-    def test_oom_exhaustion_on_restore_propagates(self):
-        pod = make_pod()
-        parent = prepare_parent(pod, "json")
-        resilient = self._resilient(pod, max_attempts=2)
-        ckpt, _ = resilient.checkpoint(parent.instance.task)
-        from repro.faults.recovery import RetryExhaustedError
-
-        handle = FaultInjector(seed=8).transient_oom(
-            pod.target.dram, failures=1_000_000
-        )
-        with pytest.raises(RetryExhaustedError) as info:
-            resilient.restore(ckpt, pod.target)
-        assert isinstance(info.value.last, OutOfMemoryError)
-        handle.remove()
         report = audit(pod, [ckpt])
         assert report.clean, report.describe()

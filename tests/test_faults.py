@@ -124,75 +124,13 @@ class TestInjector:
         assert killed == 1
         assert node.failed
 
-    def test_transient_oom_fails_then_recovers(self):
-        pool = FrameAllocator("t", base=0, capacity_frames=64)
-        injector = FaultInjector(seed=2)
-        handle = injector.transient_oom(pool, failures=2)
-        with pytest.raises(OutOfMemoryError):
-            pool.alloc_many(4)
-        with pytest.raises(OutOfMemoryError):
-            pool.alloc_many(4)
-        frames = pool.alloc_many(4)  # budget exhausted; allocs succeed
-        assert frames.size == 4
-        assert handle.injected == 2
-        handle.remove()
-
-    def test_transient_oom_handle_restores_previous_hook(self):
-        pool = FrameAllocator("t", base=0, capacity_frames=64)
-        calls = []
-        pool.fault_hook = lambda count: calls.append(count)
-        with FaultInjector(seed=3).transient_oom(pool, failures=0):
-            pool.alloc_many(1)
-        assert pool.fault_hook is not None
-        pool.alloc_many(2)
-        # The pre-existing hook was chained during, and restored after.
-        assert calls == [1, 2]
-
-    def test_slow_node_marks_and_restores(self, pod):
-        node = pod.source
-        injector = FaultInjector()
-        injector.slow_node(node, 8.0)
-        assert node.slow_factor == 8.0
-        injector.restore_node_speed(node)
-        assert node.slow_factor == 1.0
-
-    def test_degrade_fabric_window(self, pod):
-        before = pod.fabric.latency.cxl_access_ns
-        injector = FaultInjector()
-        window = injector.degrade_fabric(pod.fabric, factor=4.0)
-        assert pod.fabric.latency.cxl_access_ns == pytest.approx(before * 4.0)
-        window.end()
-        assert pod.fabric.latency.cxl_access_ns == pytest.approx(before)
-
     def test_cancel_all_disarms_everything(self, pod):
         node = pod.source
         injector = FaultInjector()
-        injector.crash_after(node, int(1 * MS))
+        injector.crash_at(node, node.clock.now + int(1 * MS))
         injector.cancel_all()
         node.clock.advance(int(5 * MS))
         assert not node.failed
-
-    def test_cancel_all_unwinds_nested_windows_lifo(self, pod):
-        """Regression: the inner window saved the *degraded* latency; ending
-        windows in creation order restored that degraded save last, leaking
-        the degradation past cancel_all."""
-        baseline = pod.fabric.latency.cxl_access_ns
-        injector = FaultInjector()
-        injector.degrade_fabric(pod.fabric, factor=2.0)
-        injector.degrade_fabric(pod.fabric, factor=3.0)  # nested: saves 2x
-        assert pod.fabric.latency.cxl_access_ns == pytest.approx(baseline * 6.0)
-        injector.cancel_all()
-        assert pod.fabric.latency.cxl_access_ns == pytest.approx(baseline)
-
-    def test_cancel_all_idempotent_after_manual_end(self, pod):
-        baseline = pod.fabric.latency.cxl_access_ns
-        injector = FaultInjector()
-        outer = injector.degrade_fabric(pod.fabric, factor=2.0)
-        inner = injector.degrade_fabric(pod.fabric, factor=3.0)
-        inner.end()
-        outer.end()
-        injector.cancel_all()  # already-ended windows are no-ops
-        assert pod.fabric.latency.cxl_access_ns == pytest.approx(baseline)
 
 
 class TestRetryPolicy:

@@ -1,123 +1,6 @@
-"""mprotect / munmap: the OS-API route into leaf privatization."""
+"""Cgroup enforcement on the kernel's allocation path."""
 
-import numpy as np
 import pytest
-
-from repro.faas.workload import FunctionWorkload
-from repro.os.kernel import SegfaultError
-from repro.os.mm.faults import FaultKind
-from repro.os.mm.pte import PteFlags, pte_has
-from repro.os.mm.vma import VmaPerms
-from repro.rfork.cxlfork import CxlFork
-
-
-@pytest.fixture
-def task(kernel):
-    return kernel.spawn_task("worker")
-
-
-class TestMprotect:
-    def test_write_protect_whole_vma(self, kernel, task):
-        vma = kernel.map_anon_region(task, 64, populate=True)
-        kernel.mprotect(task, vma.start_vpn, 64, VmaPerms.READ)
-        pte = task.mm.pagetable.get_pte(vma.start_vpn)
-        assert not pte_has(pte, PteFlags.WRITE)
-        with pytest.raises(SegfaultError):
-            kernel.access_range(task, vma.start_vpn, 1, write=True)
-
-    def test_partial_range_splits_vma(self, kernel, task):
-        vma = kernel.map_anon_region(task, 90, populate=True)
-        kernel.mprotect(task, vma.start_vpn + 30, 30, VmaPerms.READ)
-        assert len(task.mm.vmas) == 3
-        middle = task.mm.vmas.find(vma.start_vpn + 30)
-        assert middle.perms == VmaPerms.READ
-        assert task.mm.vmas.find(vma.start_vpn).perms & VmaPerms.WRITE
-
-    def test_restore_write_permission(self, kernel, task):
-        vma = kernel.map_anon_region(task, 16, populate=True)
-        kernel.mprotect(task, vma.start_vpn, 16, VmaPerms.READ)
-        kernel.mprotect(task, vma.start_vpn, 16, VmaPerms.READ | VmaPerms.WRITE)
-        stats = kernel.access_range(task, vma.start_vpn, 16, write=True)
-        assert stats.total_faults == 0  # directly writable again
-
-    def test_cow_pages_stay_cow(self, kernel, task):
-        vma = kernel.map_anon_region(task, 16, populate=True)
-        kernel.local_fork(task)  # write-protect + COW both sides
-        kernel.mprotect(task, vma.start_vpn, 16, VmaPerms.READ | VmaPerms.WRITE)
-        pte = task.mm.pagetable.get_pte(vma.start_vpn)
-        assert pte_has(pte, PteFlags.COW)
-        assert not pte_has(pte, PteFlags.WRITE)
-
-    def test_outside_vma_rejected(self, kernel, task):
-        with pytest.raises(SegfaultError):
-            kernel.mprotect(task, 999_999, 4, VmaPerms.READ)
-
-    def test_charges_time(self, kernel, task):
-        vma = kernel.map_anon_region(task, 512, populate=True)
-        before = kernel.clock.now
-        kernel.mprotect(task, vma.start_vpn, 512, VmaPerms.READ)
-        assert kernel.clock.now > before
-
-    def test_privatizes_attached_leaves(self, pod):
-        """mprotect on a restored child must not scribble on the shared
-        checkpointed leaves (§4.2.1's PTE-leaf CoW, via the OS API)."""
-        workload = FunctionWorkload("float")
-        parent = workload.build_instance(pod.source)
-        workload.season(parent)
-        ckpt, _ = CxlFork().checkpoint(parent.task)
-        restored = CxlFork().restore(ckpt, pod.target)
-        child = restored.task
-        ro = [s for s in parent.plan.segments if s.label == "ro_data"][0]
-        ckpt_before = ckpt.pagetable.gather_ptes(ro.start_vpn, ro.npages).copy()
-        stats = pod.target.kernel.mprotect(
-            child, ro.start_vpn, ro.npages, VmaPerms.READ
-        )
-        assert stats.count(FaultKind.VMA_LEAF_COW) >= 1
-        after = ckpt.pagetable.gather_ptes(ro.start_vpn, ro.npages)
-        assert (after == ckpt_before).all()  # checkpoint untouched
-
-
-class TestMunmap:
-    def test_releases_frames(self, kernel, task, node0):
-        vma = kernel.map_anon_region(task, 128, populate=True)
-        used = node0.dram.allocated_frames
-        kernel.munmap(task, vma)
-        assert node0.dram.allocated_frames == used - 128
-        assert task.mm.find_vma(vma.start_vpn) is None
-        assert task.mm.owned_local_pages == 0
-
-    def test_access_after_munmap_faults(self, kernel, task):
-        vma = kernel.map_anon_region(task, 8, populate=True)
-        kernel.munmap(task, vma)
-        with pytest.raises(SegfaultError):
-            kernel.access_range(task, vma.start_vpn, 1, write=False)
-
-    def test_unknown_vma_rejected(self, kernel, task):
-        from repro.os.mm.vma import Vma
-
-        ghost = Vma(start_vpn=777_000, npages=4, perms=VmaPerms.READ)
-        with pytest.raises(SegfaultError):
-            kernel.munmap(task, ghost)
-
-    def test_restored_child_munmap_drops_cxl_refs(self, pod):
-        workload = FunctionWorkload("float")
-        parent = workload.build_instance(pod.source)
-        workload.season(parent)
-        ckpt, _ = CxlFork().checkpoint(parent.task)
-        used_after_ckpt = pod.fabric.used_bytes
-        restored = CxlFork().restore(ckpt, pod.target)
-        child = restored.task
-        ro = [s for s in parent.plan.segments if s.label == "ro_data"][0]
-        target_vma = child.mm.vmas.find(ro.start_vpn)
-        pod.target.kernel.munmap(child, target_vma)
-        pod.target.kernel.exit_task(child)
-        # Every sharer reference returned; the checkpoint alone remains.
-        assert pod.fabric.used_bytes == used_after_ckpt
-
-    def test_page_cache_survives_file_munmap(self, kernel, task, node0):
-        vma = kernel.map_file_region(task, "/lib/keep.so", 32, populate=True)
-        kernel.munmap(task, vma)
-        assert node0.pagecache.cached_pages("/lib/keep.so") == 32
 
 
 class TestCgroupEnforcement:
@@ -147,13 +30,6 @@ class TestCgroupEnforcement:
         vma = kernel.map_anon_region(task, 100, populate=False)
         kernel.access_range(task, vma.start_vpn, 100, write=True)
         kernel.exit_task(task)
-        assert container.cgroup.charged_bytes == 0
-
-    def test_munmap_uncharges(self, kernel):
-        task, container = self._limited_task(kernel, 1 << 20)
-        vma = kernel.map_anon_region(task, 100, populate=False)
-        kernel.access_range(task, vma.start_vpn, 100, write=True)
-        kernel.munmap(task, task.mm.vmas.find(vma.start_vpn))
         assert container.cgroup.charged_bytes == 0
 
     def test_unlimited_cgroup_never_blocks(self, kernel):

@@ -37,17 +37,6 @@ class TestVma:
             Vma(start_vpn=0, npages=1, perms=VmaPerms.READ,
                 kind=VmaKind.FILE_PRIVATE)
 
-    def test_split(self):
-        v = filemap(100, 10)
-        head, tail = v.split_at(104)
-        assert head.npages == 4
-        assert tail.start_vpn == 104
-        assert tail.file_offset_pages == 4
-
-    def test_split_outside_rejected(self):
-        with pytest.raises(ValueError):
-            anon(100, 10).split_at(100)
-
 
 class TestTreeLookup:
     def test_find_in_empty(self):
@@ -88,15 +77,6 @@ class TestTreeMutation:
         assert tree.leaf_count == 2
         assert len(tree) == VMAS_PER_LEAF + 1
 
-    def test_remove(self):
-        tree = VmaTree()
-        v = anon(0, 10)
-        tree.insert(v)
-        tree.remove(v)
-        assert len(tree) == 0
-        with pytest.raises(ValueError):
-            tree.remove(v)
-
     def test_replace_vma(self):
         tree = VmaTree()
         v = filemap(0, 10)
@@ -131,7 +111,7 @@ class TestAttachment:
         leaf = VmaLeaf([anon(0, 10)], cxl_resident=True)
         tree.attach_leaf(leaf)
         with pytest.raises(PermissionError):
-            tree.remove(leaf.vmas[0])
+            tree.insert(anon(20, 5))
 
     def test_privatize_then_mutate(self):
         tree = VmaTree()
@@ -139,8 +119,8 @@ class TestAttachment:
         tree.attach_leaf(leaf)
         private, copied = tree.privatize_leaf(0)
         assert copied
-        tree.remove(private.vmas[0])
-        assert len(tree) == 1
+        tree.insert(anon(40, 5))
+        assert len(tree) == 3
         assert len(leaf.vmas) == 2  # checkpoint copy untouched
         assert leaf.refcount == 1
 

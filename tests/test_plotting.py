@@ -1,38 +1,6 @@
 """ASCII plotting helpers."""
 
-import pytest
-
-from repro.analysis.plotting import ascii_bar_chart, ascii_series
-
-
-class TestBarChart:
-    def test_scales_to_peak(self):
-        chart = ascii_bar_chart([("g", {"a": 100.0, "b": 50.0})], width=20)
-        lines = chart.splitlines()
-        a_bar = lines[1].count("█")
-        b_bar = lines[2].count("█")
-        assert a_bar == 20
-        assert b_bar == pytest.approx(10, abs=1)
-
-    def test_zero_value_draws_empty(self):
-        chart = ascii_bar_chart([("g", {"a": 10.0, "b": 0.0})])
-        assert "0.00" in chart
-
-    def test_empty_input(self):
-        assert ascii_bar_chart([]) == "(no data)"
-
-    def test_unit_and_note(self):
-        chart = ascii_bar_chart(
-            [("g", {"a": 1.0})], unit=" ms", log_note=True
-        )
-        assert " ms" in chart
-        assert "scaled" in chart
-
-    def test_multiple_groups(self):
-        chart = ascii_bar_chart(
-            [("bert", {"cxlfork": 1.0}), ("float", {"cxlfork": 0.5})]
-        )
-        assert "bert" in chart and "float" in chart
+from repro.analysis.plotting import ascii_series
 
 
 class TestSeries:

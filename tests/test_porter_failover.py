@@ -1,25 +1,23 @@
-"""Porter resilience: heartbeat detection, failover, and graceful degradation."""
+"""Porter resilience: node crashes, scheduler filtering, and memory retries."""
 
 import pytest
 
 from repro.faas.traces import Request
 from repro.faults import FaultInjector
 from repro.porter.autoscaler import CxlPorter, PorterConfig
-from repro.porter.failure_detector import HeartbeatDetector
-from repro.porter.scheduler import ClusterExhaustedError, ClusterScheduler
-from repro.sim.events import EventQueue
+from repro.porter.scheduler import ClusterExhaustedError
 from repro.sim.units import GIB, MS, SEC
 
 
 @pytest.fixture
 def trio():
-    """A three-node porter pod (cxlfork arm, failure detection on)."""
+    """A three-node porter pod (cxlfork arm)."""
     from repro.cxl.topology import PodTopology
 
     fabric, nodes = PodTopology.paper_testbed(
         dram_bytes=8 * GIB, cxl_bytes=16 * GIB, cpu_count=8, node_count=3
     ).build()
-    config = PorterConfig(mechanism="cxlfork", failure_detection=True)
+    config = PorterConfig(mechanism="cxlfork")
     porter = CxlPorter(nodes, fabric, config=config)
     return porter, fabric, nodes
 
@@ -31,85 +29,6 @@ def requests_for(fn, times_s, *, start_id=0):
     ]
 
 
-class TestHeartbeatDetector:
-    def _nodes(self, count=2):
-        from repro.cxl.topology import PodTopology
-
-        _, nodes = PodTopology.paper_testbed(
-            dram_bytes=4 * GIB, cxl_bytes=8 * GIB, node_count=count
-        ).build()
-        return nodes
-
-    def test_declares_dead_after_threshold_misses(self):
-        nodes = self._nodes()
-        queue = EventQueue()
-        deaths = []
-        detector = HeartbeatDetector(
-            nodes,
-            queue,
-            interval_ns=int(100 * MS),
-            miss_threshold=3,
-            on_dead=deaths.append,
-        )
-        detector.start()
-        nodes[0].fail()
-        queue.run(until=int(1 * SEC))
-        assert deaths == [nodes[0]]
-        # Dead at crash + threshold * interval: three missed beats.
-        assert detector.declared_dead[nodes[0].name] == int(300 * MS)
-        assert detector.detection_latency_ns == int(300 * MS)
-
-    def test_live_node_never_declared(self):
-        nodes = self._nodes()
-        queue = EventQueue()
-        detector = HeartbeatDetector(nodes, queue, interval_ns=int(100 * MS))
-        detector.start()
-        queue.run(until=int(2 * SEC))
-        assert detector.declared_dead == {}
-
-    def test_declaration_fires_once(self):
-        nodes = self._nodes()
-        queue = EventQueue()
-        deaths = []
-        detector = HeartbeatDetector(
-            nodes,
-            queue,
-            interval_ns=int(50 * MS),
-            miss_threshold=2,
-            on_dead=deaths.append,
-        )
-        detector.start()
-        nodes[1].fail()
-        queue.run(until=int(5 * SEC))  # many ticks after the declaration
-        assert deaths == [nodes[1]]
-
-    def test_slow_node_marked_suspected_and_cleared(self):
-        nodes = self._nodes()
-        queue = EventQueue()
-        detector = HeartbeatDetector(
-            nodes, queue, interval_ns=int(100 * MS), suspect_slow_factor=4.0
-        )
-        detector.start()
-        injector = FaultInjector()
-        injector.slow_node(nodes[0], 8.0)
-        queue.run(until=int(300 * MS))
-        assert nodes[0].suspected
-        assert not nodes[1].suspected
-        injector.restore_node_speed(nodes[0])
-        queue.run(until=int(600 * MS))
-        assert not nodes[0].suspected
-
-    def test_stop_halts_ticks(self):
-        nodes = self._nodes()
-        queue = EventQueue()
-        detector = HeartbeatDetector(nodes, queue, interval_ns=int(100 * MS))
-        detector.start()
-        detector.stop()
-        nodes[0].fail()
-        queue.run(until=int(2 * SEC))
-        assert detector.declared_dead == {}
-
-
 class TestSchedulerFiltering:
     def test_failed_nodes_never_picked(self, trio):
         porter, _, nodes = trio
@@ -117,24 +36,6 @@ class TestSchedulerFiltering:
         nodes[0].fail()
         for _ in range(8):
             assert scheduler.pick_for_start(lambda n: 0) is not nodes[0]
-
-    def test_suspected_nodes_avoided_when_possible(self, trio):
-        porter, _, nodes = trio
-        nodes[0].suspected = True
-        picks = {porter.scheduler.pick_for_start(lambda n: 0) for _ in range(8)}
-        assert nodes[0] not in picks
-
-    def test_suspected_used_as_last_resort(self):
-        from repro.cxl.topology import PodTopology
-
-        _, nodes = PodTopology.paper_testbed(
-            dram_bytes=4 * GIB, cxl_bytes=8 * GIB, node_count=2
-        ).build()
-        scheduler = ClusterScheduler(nodes)
-        nodes[0].fail()
-        nodes[1].suspected = True
-        # Slow-but-alive beats nothing at all.
-        assert scheduler.pick_for_start(lambda n: 0) is nodes[1]
 
     def test_all_failed_raises_cluster_exhausted(self, trio):
         porter, _, nodes = trio
@@ -158,7 +59,6 @@ class TestFailover:
         metrics = porter.run(reqs)
         assert metrics.count() == len(reqs)
         assert metrics.start_kind_counts().get("failed", 0) == 0
-        assert victim.name in porter.detector.declared_dead
         assert porter.audit_leaks().clean
 
     def test_crash_node_holding_checkpoint(self, trio):
@@ -175,30 +75,6 @@ class TestFailover:
         assert metrics.count() == len(reqs)
         # The CXL-resident checkpoint survived its creator (§3.1).
         assert porter.store.contains(porter.config.user, "json")
-        assert porter.audit_leaks().clean
-
-    def test_orphaned_idle_instances_replaced_on_survivors(self, trio):
-        porter, fabric, nodes = trio
-        porter.register_function("json")
-        porter.prewarm_and_checkpoint("json", node=nodes[0])
-        # Serve one request so a warm instance idles on some node.
-        porter.run(requests_for("json", [0.0]), until=int(1 * SEC))
-        hosting = [
-            name for name, pools in porter._idle.items() if pools.get("json")
-        ]
-        assert len(hosting) == 1
-        victim = next(n for n in nodes if n.name == hosting[0])
-        injector = FaultInjector(seed=3)
-        injector.crash_now(victim)
-        porter._handle_node_failure(victim)
-        porter.queue.run(until=porter.queue.now + int(2 * SEC))
-        survivors = [
-            name
-            for name, pools in porter._idle.items()
-            if pools.get("json") and name != victim.name
-        ]
-        # The orphaned keep-alive instance was re-warmed elsewhere.
-        assert survivors
         assert porter.audit_leaks().clean
 
     def test_whole_cluster_death_drops_remaining_requests(self, trio):
@@ -220,23 +96,6 @@ class TestFailover:
         kinds = metrics.start_kind_counts()
         assert kinds.get("failed", 0) >= 1
         assert kinds.get("failed", 0) < len(reqs)  # some ran before the blackout
-        assert porter.audit_leaks().clean
-
-    def test_gray_failure_keeps_cluster_serving(self, trio):
-        porter, _, nodes = trio
-        porter.register_function("json")
-        porter.prewarm_and_checkpoint("json", node=nodes[0])
-        injector = FaultInjector(seed=11)
-        porter.queue.schedule(
-            int(1 * SEC),
-            lambda: injector.slow_node(nodes[1], 8.0),
-            label="gray",
-        )
-        reqs = requests_for("json", [0.3 * i for i in range(15)])
-        metrics = porter.run(reqs)
-        assert metrics.count() == len(reqs)
-        assert metrics.start_kind_counts().get("failed", 0) == 0
-        assert nodes[1].suspected
         assert porter.audit_leaks().clean
 
 

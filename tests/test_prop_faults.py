@@ -72,7 +72,7 @@ class TestCrashInterleavings:
                     if not node.failed:
                         # Armed, not immediate: it fires inside whatever
                         # operation next advances this node's clock.
-                        injector.crash_after(node, delay_us * US)
+                        injector.crash_at(node, node.clock.now + delay_us * US)
                 elif op == "checkpoint":
                     if second_parent is None and not pod.nodes[1].failed:
                         second_parent = prepare_parent(

@@ -61,16 +61,6 @@ class TestVmaTreeProperties:
         lowest = min(v.start_vpn for v in vmas)
         assert tree.find(lowest - 1) is None
 
-    @given(disjoint_vmas(), st.integers(min_value=0, max_value=1000))
-    def test_remove_keeps_others(self, vmas, pick):
-        tree = VmaTree()
-        for vma in vmas:
-            tree.insert(vma)
-        victim = vmas[pick % len(vmas)]
-        tree.remove(victim)
-        assert tree.find(victim.start_vpn) is None
-        assert len(tree) == len(vmas) - 1
-
 
 class TestTouchMaskProperties:
     @given(

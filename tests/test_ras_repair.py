@@ -157,13 +157,25 @@ class TestSharedFrames:
 
 
 class TestRetries:
-    def test_transient_oom_during_repair_retries(self, pod, parent):
+    def test_failed_allocations_during_repair_retry(self, pod, parent, monkeypatch):
+        from repro.cxl.allocator import OutOfMemoryError
+
         _, instance = parent
         _, ckpt = _checkpointed(pod, "cxlfork", parent)
         pool = pod.fabric.device.frames
         pool.poison(ckpt.data_frames[:2])
         injector = FaultInjector(seed=4)
-        injector.transient_oom(pool, failures=2)
+        failures = [2]
+        alloc_many = pool.alloc_many
+
+        def flaky_alloc_many(count):
+            # The next two allocations fail outright, then the pool recovers.
+            if failures[0]:
+                failures[0] -= 1
+                raise OutOfMemoryError(pool, count)
+            return alloc_many(count)
+
+        monkeypatch.setattr(pool, "alloc_many", flaky_alloc_many)
         repairer = Repairer(
             policy="cow", parent_task=instance.task, rng=injector.rng
         )

@@ -1,19 +1,11 @@
-"""RAS end-to-end: ResilientFork under poison, detector verdicts, routing."""
+"""RAS end-to-end: poison pressure steers federation routing."""
 
 import pytest
 
-from repro.cluster import PodMembership, RouterConfig, build_federation
-from repro.exceptions import PoisonError
+from repro.cluster import RouterConfig, build_federation
 from repro.faas.traces import Request
-from repro.faults import FaultInjector, audit_pod
-from repro.faults.recovery import RetryPolicy
 from repro.porter.autoscaler import PorterConfig
-from repro.porter.failure_detector import HeartbeatDetector
 from repro.ras import RAS
-from repro.rfork.criu import CriuCheckpoint
-from repro.rfork.cxlfork import CxlForkCheckpoint
-from repro.rfork.resilient import ResilientFork
-from repro.sim.events import EventQueue
 
 
 @pytest.fixture(autouse=True)
@@ -22,121 +14,6 @@ def _ras_on():
     RAS.enable()
     yield
     RAS.reset()
-
-
-class TestResilientUnderPoison:
-    def test_mid_checkpoint_poison_retries_to_success(self, pod, parent):
-        workload, instance = parent
-        mech = ResilientFork(fabric=pod.fabric, cxlfs=pod.cxlfs)
-        pool = pod.fabric.device.frames
-        injector = FaultInjector(seed=9)
-        # Poison lands while the image is being written; the seal fails,
-        # the corrupt image is torn down, and the retry writes fresh
-        # frames (the poisoned ones are offlined, never recycled).
-        injector.poison_at(
-            instance.task.node.clock, pool,
-            instance.task.node.clock.now + 1000, count=1,
-        )
-        ckpt, _ = mech.checkpoint(instance.task)
-        assert isinstance(ckpt, CxlForkCheckpoint)  # no fallback needed
-        assert pool.offlined_frames >= 1
-        assert not pool.has_poison
-
-        # The retried image must be a faithful clone source: the restored
-        # child is page-for-page equivalent to the parent (PR 4 oracle).
-        from repro.check.oracle import DifferentialOracle
-
-        oracle = DifferentialOracle(instance.task, label="resilient-poison")
-        result = mech.restore(ckpt, pod.target)
-        oracle.verify_child(result.task, label="fresh")
-        child = workload.placed_plan_for(instance, result.task)
-        workload.invoke(child)
-        oracle.verify_parent_pristine()
-        report = audit_pod(
-            pod.fabric, pod.nodes, cxlfs=pod.cxlfs, checkpoints=[ckpt]
-        )
-        assert report.clean, report.describe()
-
-    def test_persistent_poison_falls_back_to_criu(self, pod, parent, monkeypatch):
-        _, instance = parent
-        mech = ResilientFork(
-            fabric=pod.fabric,
-            cxlfs=pod.cxlfs,
-            policy=RetryPolicy(base_ns=100, cap_ns=1000, max_attempts=2,
-                               jitter=0.0),
-        )
-        attempts = []
-
-        def always_poisoned(task):
-            attempts.append(task.comm)
-            raise PoisonError("cxl", [1], "cxlfork.seal")
-
-        monkeypatch.setattr(mech.primary, "checkpoint", always_poisoned)
-        ckpt, _ = mech.checkpoint(instance.task)
-        # Primary exhausted its retries, then degraded to the CRIU image.
-        assert attempts == [instance.task.comm] * 2
-        assert isinstance(ckpt, CriuCheckpoint)
-        mech.restore(ckpt, pod.target)
-
-    def test_restore_does_not_retry_poison(self, pod, parent):
-        # Re-reading the same corrupt image is deterministic failure; the
-        # repair ladder owns that path, not the retry loop.
-        _, instance = parent
-        mech = ResilientFork(fabric=pod.fabric, cxlfs=pod.cxlfs)
-        ckpt, _ = mech.checkpoint(instance.task)
-        pod.fabric.device.frames.poison(ckpt.data_frames[:1])
-        with pytest.raises(PoisonError):
-            mech.restore(ckpt, pod.target)
-
-
-class TestDegradedVerdict:
-    def _detector(self, node, **kwargs):
-        queue = EventQueue()
-        detector = HeartbeatDetector([node], queue, **kwargs)
-        detector.start()
-        return queue, detector
-
-    def test_poisoning_node_degrades_and_clears(self, pod):
-        node = pod.source
-        queue, detector = self._detector(node, degrade_poison_rate=1e-9)
-        frames = node.dram.alloc_many(2)
-        node.dram.poison(frames)
-        queue.step()  # first heartbeat tick
-        assert node.degraded
-        assert detector.verdict(node) == "degraded"
-        node.dram.clear_poison(frames)
-        queue.step()
-        assert not node.degraded
-        assert detector.verdict(node) == "live"
-
-    def test_verdict_ordering(self, pod):
-        node = pod.source
-        queue, detector = self._detector(
-            node, degrade_poison_rate=1e-9, miss_threshold=1
-        )
-        frames = node.dram.alloc_many(1)
-        node.dram.poison(frames)
-        queue.step()
-        assert detector.verdict(node) == "degraded"
-        # Suspected trumps degraded: the node cannot even serve well.
-        node.slow_factor = 8.0
-        queue.step()
-        assert detector.verdict(node) == "suspected"
-        node.fail()
-        queue.step()
-        assert detector.verdict(node) == "dead"
-
-    def test_healthy_node_stays_live(self, pod):
-        node = pod.source
-        queue, detector = self._detector(node)
-        queue.step()
-        assert detector.verdict(node) == "live"
-        assert not node.degraded
-
-    def test_degrade_threshold_validated(self, pod):
-        with pytest.raises(ValueError):
-            HeartbeatDetector([pod.source], EventQueue(),
-                              degrade_poison_rate=0.0)
 
 
 def _federation(pod_count=2, **router_kwargs):
@@ -168,15 +45,6 @@ class TestRouterSteering:
         choice = router.route(Request(when=0, function="float", request_id=1))
         assert choice.name == pods[1].name
 
-    def test_degraded_pod_penalized(self):
-        router, pods = _federation(degraded_penalty=1e6)
-        for pod in pods:
-            pod.porter.prewarm_and_checkpoint("float")
-        _drain(router.queue)
-        pods[0].degraded = True
-        choice = router.route(Request(when=0, function="float", request_id=1))
-        assert choice.name == pods[1].name
-
     def test_clean_pods_route_as_before(self):
         # With no poison anywhere the new terms must not perturb placement.
         picks = []
@@ -189,11 +57,3 @@ class TestRouterSteering:
                                      request_id=1)).name
             )
         assert picks[0] == picks[1] == picks[0]
-
-    def test_membership_reuses_detector_for_pods(self):
-        # PodHandle quacks enough for the degrade protocol too.
-        router, pods = _federation()
-        membership = router.membership
-        assert isinstance(membership, PodMembership)
-        assert hasattr(pods[0], "poison_rate")
-        assert pods[0].degraded is False
