@@ -5,9 +5,10 @@ process consists of:
 
 1. **Touching the working set** — for each planned segment, a deterministic
    subset (the segment's ``touch_frac``) of pages is accessed; reads for
-   INIT/READ_ONLY segments, writes for READ_WRITE.  This drives the kernel's
-   vectorized fault path: CoW migrations, MoA copies, file faults, leaf CoW,
-   and A/D-bit updates all happen here.
+   INIT/READ_ONLY segments, writes for READ_WRITE.  The whole segment table
+   goes to the kernel in one ``access_range`` call, which resolves warm
+   re-touches in one vectorized pass and drives the fault path (CoW
+   migrations, MoA copies, file faults, leaf CoW) for the rest.
 2. **Charging memory-access time** — first touches of pages whose data was
    not just copied (copies land in cache) miss the hardware caches and pay
    the tier's latency; re-references miss according to the working-set
@@ -23,16 +24,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.faas.profiles import MemoryPlan, Segment, SegmentRole
+from repro.faas.profiles import MemoryPlan, SegmentRole
 from repro.os.kernel import FaultStats
-from repro.os.mm.faults import WARMING_KINDS, FaultKind
 from repro.os.proc.task import Task
 from repro.sim.units import PAGE_SIZE
-
-#: Fault kinds that leave the page's data warm in the cache.  The
-#: canonical set lives next to the FaultKind enum; FaultStats tallies it
-#: incrementally as ``stats.warmed``, which pass 2 below reads directly.
-_WARMING_KINDS = tuple(sorted(WARMING_KINDS, key=lambda k: k.value))
 
 
 @dataclass
@@ -150,58 +145,59 @@ class InvocationEngine:
         latency = node.fabric.latency
         result = InvocationResult()
 
-        # Pass 1: drive faults / page-state transitions segment by segment.
-        seg_masks: list[tuple[Segment, np.ndarray, FaultStats]] = []
+        # Pass 1: drive faults / page-state transitions with one kernel
+        # entry for the plan's whole segment table.
+        starts, sizes, writes, masks = [], [], [], []
         for seg in plan.segments:
             if not seg.placed:
                 raise ValueError(f"segment {seg.label!r} was never placed")
-            mask = touch_mask(seg.npages, seg.touch_frac, invocation_index)
-            if not np.any(mask):
-                continue
-            write = seg.role is SegmentRole.READ_WRITE
-            stats = kernel.access_range(
-                task, seg.start_vpn, seg.npages, write=write, touched_mask=mask
-            )
-            result.fault_stats.merge(stats)
-            seg_masks.append((seg, mask, stats))
-        result.fault_ns = result.fault_stats.cost_ns
+            starts.append(seg.start_vpn)
+            sizes.append(seg.npages)
+            writes.append(seg.role is SegmentRole.READ_WRITE)
+            masks.append(touch_mask(seg.npages, seg.touch_frac, invocation_index))
+        stats = kernel.access_range(
+            task, starts, sizes, write=writes, touched_mask=masks
+        )
+        result.fault_stats = stats
+        result.fault_ns = stats.cost_ns
 
-        # Pass 2: memory-access time from the post-fault page placement.
-        # access_range already tallied each segment's touched pages in its
-        # placement counters, so no mask re-scan is needed here.
-        total_touched = sum(s.touched for _, _, s in seg_masks)
-        result.touched_pages = total_touched
-        ws_bytes = total_touched * PAGE_SIZE
+        # Pass 2: memory-access time from the post-fault page placement,
+        # per segment, from access_range's per-row placement tallies.
+        result.touched_pages = stats.touched
+        result.touched_local = stats.touched_local
+        result.touched_cxl = stats.touched_cxl
+        ws_bytes = stats.touched * PAGE_SIZE
         miss_frac = node.cache.rereference_miss_fraction(ws_bytes)
 
         # Shared-fabric contention inflates effective CXL access latency
         # (1.0 on an idle fabric; see repro.cxl.bandwidth).
         contention = node.fabric.contention_factor()
-        access_ns = 0.0
-        for seg, mask, stats in seg_masks:
-            n_cxl = stats.touched_cxl
-            n_local = stats.touched_local
-            n_touched = n_cxl + n_local
-            result.touched_local += n_local
-            result.touched_cxl += n_cxl
+        n_cxl = stats.rows_touched_cxl
+        n_touched = stats.rows_touched_local + n_cxl
 
-            # First touches: pages just copied by a fault are cache-warm.
-            warmed = stats.warmed
-            cold_first = max(0, n_touched - warmed)
-            frac_cxl = n_cxl / n_touched if n_touched else 0.0
-            ft_cxl = cold_first * frac_cxl
-            ft_local = cold_first - ft_cxl
-            result.first_touch_misses += cold_first
+        # First touches: pages just copied by a fault are cache-warm.
+        cold_first = np.maximum(0, n_touched - stats.rows_warmed)
+        frac_cxl = np.divide(
+            n_cxl, n_touched, out=np.zeros(n_touched.size), where=n_touched > 0
+        )
+        ft_cxl = cold_first * frac_cxl
+        ft_local = cold_first - ft_cxl
+        result.first_touch_misses = int(cold_first.sum())
 
-            # Re-references miss per the cache capacity model.
-            reaccesses = n_touched * spec.reaccess_per_page
-            re_misses = reaccesses * miss_frac
-            re_cxl = re_misses * frac_cxl
-            re_local = re_misses - re_cxl
-            result.reaccess_misses += int(re_misses)
+        # Re-references miss per the cache capacity model.
+        reaccesses = n_touched * spec.reaccess_per_page
+        re_misses = reaccesses * miss_frac
+        re_cxl = re_misses * frac_cxl
+        re_local = re_misses - re_cxl
+        result.reaccess_misses = int(re_misses.astype(np.int64).sum())
 
-            access_ns += (ft_cxl + re_cxl) * latency.access_ns(cxl=True) * contention
-            access_ns += (ft_local + re_local) * latency.access_ns(cxl=False)
+        # Accumulate left to right in segment order, CXL term before local
+        # term, as a scalar loop would: cumsum is sequential where sum is
+        # pairwise, and the float total feeds the virtual clock.
+        terms = np.empty(2 * n_touched.size)
+        terms[0::2] = (ft_cxl + re_cxl) * latency.access_ns(cxl=True) * contention
+        terms[1::2] = (ft_local + re_local) * latency.access_ns(cxl=False)
+        access_ns = float(np.cumsum(terms)[-1]) if terms.size else 0.0
 
         result.access_ns = access_ns
         result.compute_ns = spec.compute_ns

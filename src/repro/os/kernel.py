@@ -23,7 +23,7 @@ Frame lifetime is uniformly refcounted: every mapping holds one reference
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from repro.os.mm.faults import (
     FaultCostModel,
     FaultKind,
 )
-from repro.os.mm.mmdesc import MemoryDescriptor
 from repro.os.mm.pagetable import LEAF_SHIFT, PTES_PER_LEAF, PageTable, PteLeaf
 from repro.os.mm.pte import (
     PTE_FRAME_SHIFT,
@@ -56,6 +55,9 @@ _ACCESSED = np.int64(int(PteFlags.ACCESSED))
 _DIRTY = np.int64(int(PteFlags.DIRTY))
 _COW = np.int64(int(PteFlags.COW))
 _CXL = np.int64(int(PteFlags.CXL))
+#: The PTEs of a leaf that does not exist.
+_NO_LEAF = np.zeros(PTES_PER_LEAF, dtype=np.int64)
+_NO_LEAF.setflags(write=False)
 
 
 @dataclass
@@ -66,9 +68,9 @@ class FaultStats:
     transitions, so callers don't need a second page-table pass.
     """
 
-    #: Per-kind fault tallies.  A plain dict, not a Counter: one FaultStats
-    #: is allocated per access_range call, and Counter's __init__/update
-    #: overhead was measurable at cluster scale.
+    #: Per-kind fault tallies.  A plain dict, not a Counter: the fault path
+    #: allocates one FaultStats per access-table row it resolves, and
+    #: Counter's __init__/update overhead was measurable at cluster scale.
     counts: dict = field(default_factory=dict)
     cost_ns: float = 0.0
     touched_local: int = 0
@@ -77,6 +79,12 @@ class FaultStats:
     #: :data:`repro.os.mm.faults.WARMING_KINDS`), kept incrementally so
     #: hot callers never re-walk the counter.
     warmed: int = 0
+    #: Per-row tallies of one :meth:`Kernel.access_range` table (int64
+    #: arrays, one entry per row; the fields above are their totals).
+    #: None on stats that no access table produced.
+    rows_touched_local: Optional[np.ndarray] = None
+    rows_touched_cxl: Optional[np.ndarray] = None
+    rows_warmed: Optional[np.ndarray] = None
 
     def add(self, kind: FaultKind, n: int, cost_each_ns: float) -> None:
         if n <= 0:
@@ -240,36 +248,23 @@ class Kernel:
 
     # -- memory population (cold-start construction) ----------------------------------
 
-    def alloc_local_frames(
-        self, mm: MemoryDescriptor, count: int, *, task: Optional[Task] = None
-    ) -> np.ndarray:
-        """Allocate local frames on behalf of an address space.
+    def alloc_local_frames(self, task: Task, count: int) -> np.ndarray:
+        """Allocate local frames on behalf of ``task``'s address space.
 
         Charges the pages to the process's owned-memory accounting (the
-        Fig. 7b metric) and, when the owning task runs inside a cgroup with
-        a memory limit, to that cgroup — raising
+        Fig. 7b metric) and, when the task runs inside a cgroup with a
+        memory limit, to that cgroup — raising
         :class:`~repro.cxl.allocator.OutOfMemoryError` on limit breach,
         like the kernel's memcg charge path.
         """
         self._check_alive()
-        owner = task if task is not None else self._task_of(mm)
-        if owner is not None and owner.cgroup is not None:
-            if not owner.cgroup.charge(count * PAGE_SIZE):
-                from repro.cxl.allocator import OutOfMemoryError
+        if task.cgroup is not None and not task.cgroup.charge(count * PAGE_SIZE):
+            from repro.cxl.allocator import OutOfMemoryError
 
-                raise OutOfMemoryError(self.node.dram, count)
+            raise OutOfMemoryError(self.node.dram, count)
         frames = self.node.dram.alloc_many(count)
-        mm.owned_local_pages += count
+        task.mm.owned_local_pages += count
         return frames
-
-    def _task_of(self, mm: MemoryDescriptor) -> Optional[Task]:
-        for task in self._tasks.values():
-            if task.mm is mm:
-                return task
-        return None
-
-    # Backwards-compatible internal alias.
-    _alloc_local = alloc_local_frames
 
     def map_anon_region(
         self,
@@ -297,7 +292,7 @@ class Kernel:
             npages, VmaPerms.READ | VmaPerms.WRITE, kind=VmaKind.ANON, label=label
         )
         if populate:
-            frames = self._alloc_local(task.mm, npages)
+            frames = self.alloc_local_frames(task, npages)
             task.mm.pagetable.map_range(vma.start_vpn, frames, flags)
         return vma
 
@@ -437,18 +432,158 @@ class Kernel:
     def access_range(
         self,
         task: Task,
-        start_vpn: int,
-        npages: int,
+        start_vpn: int | Sequence[int],
+        npages: int | Sequence[int],
         *,
-        write: bool,
-        touched_mask: Optional[np.ndarray] = None,
+        write: bool | Sequence[bool],
+        touched_mask: Optional[np.ndarray] | Sequence[Optional[np.ndarray]] = None,
     ) -> FaultStats:
         """Touch ``[start_vpn, start_vpn+npages)``, resolving faults.
 
         ``touched_mask`` restricts the touch to a subset of the range (the
         invocation engine samples working sets).  The range must lie within
         one VMA.  Returns the fault statistics; virtual time is advanced.
+
+        **Table form.**  ``start_vpn``, ``npages`` and ``write`` may instead
+        be equal-length sequences, one row per range, with ``touched_mask``
+        a matching sequence of masks (a ``None`` entry, or ``None`` for the
+        whole argument, touches every page of the row).  A scalar call is
+        the one-row table.  Rows take effect in order, exactly as one call
+        per row would: each row advances the clock by its own cost, traces
+        its own faults and raises its own :class:`SegfaultError`, with the
+        earlier rows applied.  The leading run of *warm* rows is resolved
+        in one vectorized pass (see :meth:`_touch_warm_rows`); from the
+        first row that is not warm on, rows take the per-chunk fault path.
+
+        The returned stats aggregate every row; ``rows_touched_cxl``,
+        ``rows_touched_local`` and ``rows_warmed`` hold the per-row tallies.
         """
+        self._check_alive()
+        if np.ndim(start_vpn) == 0:
+            starts, sizes, writes = (start_vpn,), (npages,), (write,)
+            masks = (touched_mask,)
+        else:
+            starts, sizes, writes = start_vpn, npages, write
+            masks = touched_mask if touched_mask is not None else (None,) * len(starts)
+        n = len(starts)
+        row_cxl = np.zeros(n, dtype=np.int64)
+        row_local = np.zeros(n, dtype=np.int64)
+        row_warmed = np.zeros(n, dtype=np.int64)
+        # A lone row gains nothing from the table pass, and an alarm already
+        # due fires on row 0's zero-cost clock advance, before row 1 runs.
+        first = 0
+        if n > 1 and not self.clock.alarm_due():
+            first = self._touch_warm_rows(
+                task, starts, sizes, writes, masks, row_cxl, row_local
+            )
+        total = FaultStats(
+            touched_local=int(row_local[:first].sum()),
+            touched_cxl=int(row_cxl[:first].sum()),
+        )
+        for r in range(first, n):
+            stats = self._access_row(task, starts[r], sizes[r], writes[r], masks[r])
+            total.merge(stats)
+            row_cxl[r] = stats.touched_cxl
+            row_local[r] = stats.touched_local
+            row_warmed[r] = stats.warmed
+        total.rows_touched_cxl = row_cxl
+        total.rows_touched_local = row_local
+        total.rows_warmed = row_warmed
+        return total
+
+    def _touch_warm_rows(
+        self,
+        task: Task,
+        starts: Sequence[int],
+        sizes: Sequence[int],
+        writes: Sequence[bool],
+        masks: Sequence[Optional[np.ndarray]],
+        row_cxl: np.ndarray,
+        row_local: np.ndarray,
+    ) -> int:
+        """Resolve the leading warm rows of an access table in one pass.
+
+        A row is *warm* when it passes its VMA range/permission checks and
+        every page it touches is present (so its leaves exist) and, on a
+        write row, not CoW: touching it only sets A/D bits and costs 0 ns.
+        The touched PTEs of every row are gathered at once from a stack of
+        the touched leaves.  The rows before the first non-warm row get
+        their A/D bits here, written through shared leaves like the
+        per-chunk path's (§4.3), and their placement tallies in ``row_cxl``
+        / ``row_local``.  Returns the index of the first non-warm row
+        (``len(starts)`` when all are warm); nothing from it on is touched.
+        """
+        n = len(starts)
+        starts = np.asarray(starts, dtype=np.int64)
+        sizes = np.asarray(sizes, dtype=np.int64)
+        writes = np.asarray(writes, dtype=bool)
+        vma_lo, vma_hi, vma_writable = task.mm.vmas.bounds()
+        if vma_lo.size == 0:
+            return 0
+        pos = np.searchsorted(vma_lo, starts, side="right") - 1
+        at = np.maximum(pos, 0)
+        bad = (
+            (pos < 0)
+            | (starts >= vma_hi[at])
+            | (starts + sizes > vma_hi[at])
+            | (writes & ~vma_writable[at])
+        )
+
+        # Flat touched positions -> (row, vpn) via the rows' offsets.
+        parts = [
+            np.ones(size, dtype=bool) if mask is None else mask
+            for mask, size in zip(masks, sizes.tolist())
+        ]
+        lens = np.fromiter(map(len, parts), dtype=np.int64, count=n)
+        if not np.array_equal(lens, sizes):
+            raise ValueError("touched_mask length must equal npages")
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
+        flat = np.flatnonzero(np.concatenate(parts))
+        row = np.searchsorted(offsets, flat, side="right") - 1
+        vpns = starts[row] + (flat - offsets[row])
+        leaf_ids, which = np.unique(vpns >> LEAF_SHIFT, return_inverse=True)
+        cols = vpns & (PTES_PER_LEAF - 1)
+        leaves = task.mm.pagetable.leaves_at(leaf_ids.tolist())
+        # A missing leaf reads as all-zero PTEs: not present, so not warm.
+        # (The spare zero row keeps np.stack valid when nothing is touched.)
+        table = np.stack(
+            [_NO_LEAF if leaf is None else leaf.ptes for leaf in leaves] or [_NO_LEAF]
+        )
+        ptes = table[which, cols]
+        faulting = (ptes & _PRESENT) == 0
+        faulting |= writes[row] & ((ptes & _COW) != 0)
+        bad[row[faulting]] = True
+        first = int(np.argmax(bad)) if bad.any() else n
+
+        # A/D updates for the warm rows' pages (``row`` is sorted, so they
+        # are a prefix); only leaves with a bit still clear are written.
+        k = int(np.searchsorted(row, first))
+        ptes, which, cols, row = ptes[:k], which[:k], cols[:k], row[:k]
+        dirty = writes[row] & ((ptes & _WRITE) != 0)
+        bits = np.where(dirty, _ACCESSED | _DIRTY, _ACCESSED)
+        stale = (ptes & bits) != bits
+        if stale.any():
+            # ufunc.at, not fancy |=: a page touched by a read and a write
+            # row must keep both rows' bits.
+            np.bitwise_or.at(table, (which[stale], cols[stale]), bits[stale])
+            for j in np.unique(which[stale]).tolist():
+                leaves[j].ptes[:] = table[j]
+        touched = np.bincount(row, minlength=first)
+        on_cxl = np.bincount(row[(ptes & _CXL) != 0], minlength=first)
+        row_cxl[:first] = on_cxl
+        row_local[:first] = touched - on_cxl
+        return first
+
+    def _access_row(
+        self,
+        task: Task,
+        start_vpn: int,
+        npages: int,
+        write: bool,
+        touched_mask: Optional[np.ndarray],
+    ) -> FaultStats:
+        """One table row through the per-chunk fault path."""
         self._check_alive()
         vma = task.mm.vmas.find(start_vpn)
         if vma is None or start_vpn + npages > vma.end_vpn:
@@ -466,6 +601,8 @@ class Kernel:
         mask = None
         if touched_mask is not None:
             mask = np.asarray(touched_mask, dtype=bool)
+            if mask.shape != (npages,):
+                raise ValueError("touched_mask length must equal npages")
         pagetable = task.mm.pagetable
         offset = 0
         vpn = start_vpn
@@ -661,7 +798,6 @@ class Kernel:
         CXL/local split reduces once over the compacted selection instead
         of materializing full-width on-CXL / on-local masks.
         """
-        mm = task.mm
         ptes = leaf.ptes[sl]
         if total is None:
             total = int(np.count_nonzero(cow_mask))
@@ -678,7 +814,7 @@ class Kernel:
             pool = self.node.fabric.device.frames
             if pool.has_poison and any_old_cxl:
                 verify_frames(pool, old_frames[old_is_cxl], context="cow-fault")
-        new_frames = self._alloc_local(mm, total)
+        new_frames = self.alloc_local_frames(task, total)
         new_flags = (
             PteFlags.PRESENT
             | PteFlags.WRITE
@@ -688,7 +824,7 @@ class Kernel:
         )
         ptes[cow_mask] = make_ptes(new_frames, int(new_flags))
         # Drop the mapping references on the source pages.
-        backing = mm.ckpt_backing
+        backing = task.mm.ckpt_backing
         holds = backing is None or backing.holds_frame_refs
         if any_old_cxl and holds:
             self.node.fabric.put_frames(old_frames[old_is_cxl])
@@ -752,9 +888,8 @@ class Kernel:
         write: bool,
         stats: FaultStats,
     ) -> None:
-        mm = task.mm
         count = int(np.count_nonzero(mask))
-        frames = self._alloc_local(mm, count)
+        frames = self.alloc_local_frames(task, count)
         flags = PteFlags.PRESENT | PteFlags.WRITE | PteFlags.USER | PteFlags.ACCESSED
         if write:
             flags |= PteFlags.DIRTY
@@ -814,7 +949,6 @@ class Kernel:
             if pool.has_poison:
                 src = (ckpt_ptes[mask] >> PTE_FRAME_SHIFT).astype(np.int64)
                 verify_frames(pool, src, context="demand-fault")
-        mm = task.mm
         policy = backing.policy
         a_bits = (ckpt_ptes & _ACCESSED) != 0
         hot_bits = (ckpt_ptes & np.int64(int(PteFlags.HOT))) != 0
@@ -826,7 +960,7 @@ class Kernel:
 
         if np.any(copy_mask):
             count = int(np.count_nonzero(copy_mask))
-            frames = self._alloc_local(mm, count)
+            frames = self.alloc_local_frames(task, count)
             # The private copy is hardware-writable only in a writable VMA;
             # copies of read-only mappings (library images under MoA or
             # Mitosis) must stay read-only like the mapping they realize.

@@ -114,6 +114,11 @@ class PageTable:
         """The leaf for ``leaf_index`` if it exists, else None (no creation)."""
         return self._leaves.get(leaf_index)
 
+    def leaves_at(self, leaf_indices) -> list[Optional[PteLeaf]]:
+        """:meth:`leaf_or_none` for a batch of indices, in their order."""
+        get = self._leaves.get
+        return [get(i) for i in leaf_indices]
+
     def ensure_leaf(self, leaf_index: int) -> PteLeaf:
         """Get the leaf for ``leaf_index``, creating an empty local one."""
         existing = self._leaves.get(leaf_index)

@@ -15,7 +15,9 @@ Lookups are indexed: the tree keeps a cached sorted array of leaf start
 vpns and each leaf keeps a cached array of VMA start vpns, both invalidated
 on mutation, so ``find``/``find_leaf`` are pure bisects with no per-call
 list rebuilding, and ``insert`` checks overlap against only the two
-neighbouring VMAs instead of scanning the whole tree.
+neighbouring VMAs instead of scanning the whole tree.  A cached
+:meth:`VmaTree.bounds` view lets the kernel check a whole access table's
+ranges with one ``searchsorted``.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ import bisect
 import enum
 from dataclasses import dataclass
 from typing import Iterator, Optional
+
+import numpy as np
 
 #: VMAs per checkpointable tree leaf.  Linux maple-tree nodes hold 10-16
 #: entries; 16 keeps the arithmetic simple.
@@ -152,6 +156,8 @@ class VmaTree:
         self._keys: Optional[list[int]] = None
         #: Cached total VMA count; -1 when stale.
         self._size: int = 0
+        #: Cached :meth:`bounds` arrays; None when stale.
+        self._bounds: Optional[tuple] = None
 
     # -- index maintenance ----------------------------------------------------
 
@@ -164,6 +170,7 @@ class VmaTree:
     def _invalidate(self) -> None:
         self._keys = None
         self._size = -1
+        self._bounds = None
 
     # -- queries ------------------------------------------------------------
 
@@ -182,6 +189,24 @@ class VmaTree:
 
     def leaves(self) -> list[VmaLeaf]:
         return list(self._leaves)
+
+    def bounds(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(start_vpns, end_vpns, writable)`` of every VMA in order.
+
+        Cached until the tree mutates; the arrays are read-only.
+        """
+        bounds = self._bounds
+        if bounds is None:
+            vmas = list(self)
+            bounds = (
+                np.array([v.start_vpn for v in vmas], dtype=np.int64),
+                np.array([v.end_vpn for v in vmas], dtype=np.int64),
+                np.array([bool(v.perms & VmaPerms.WRITE) for v in vmas], dtype=bool),
+            )
+            for arr in bounds:
+                arr.setflags(write=False)
+            self._bounds = bounds
+        return bounds
 
     def total_pages(self) -> int:
         return sum(vma.npages for vma in self)
@@ -285,6 +310,7 @@ class VmaTree:
         index = leaf.vmas.index(old)
         leaf.vmas[index] = new
         leaf.invalidate()
+        self._bounds = None
         if index == 0:
             self._keys = None  # leaf start key may have moved
 
@@ -324,7 +350,8 @@ class VmaTree:
         * VMA starts strictly increase across the whole tree (so leaf keys
           strictly increase too) and VMAs never overlap their successor;
         * the cached size equals the sum of leaf sizes;
-        * every leaf's cached start index matches its VMAs;
+        * every leaf's cached start index matches its VMAs, and the cached
+          bounds arrays match the tree;
         * refcounts are positive.
         """
         prev_end = None
@@ -350,6 +377,13 @@ class VmaTree:
             assert self._keys == [leaf.start_vpn for leaf in self._leaves], (
                 "stale VmaTree leaf-key index"
             )
+        if self._bounds is not None:
+            starts, ends, writable = self._bounds
+            assert (
+                starts.tolist() == [v.start_vpn for v in self]
+                and ends.tolist() == [v.end_vpn for v in self]
+                and writable.tolist() == [bool(v.perms & VmaPerms.WRITE) for v in self]
+            ), "stale VmaTree bounds"
 
 
 __all__ = ["Vma", "VmaKind", "VmaPerms", "VmaLeaf", "VmaTree", "VMAS_PER_LEAF"]

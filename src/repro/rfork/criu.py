@@ -464,7 +464,7 @@ class CriuCxl(RemoteForkMechanism):
                 install_specs.append((pagemap.start_vpn, pagemap.npages))
                 total_installed += pagemap.npages
         for start_vpn, npages in install_specs:
-            frames = kernel.alloc_local_frames(task.mm, npages)
+            frames = kernel.alloc_local_frames(task, npages)
             task.mm.pagetable.map_range(start_vpn, frames, int(flags))
         metrics.copied_pages = total_installed
         metrics.note("install_pages", PTE_INSTALL_NS * total_installed)

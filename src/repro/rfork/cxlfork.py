@@ -670,7 +670,7 @@ class CxlFork(RemoteForkMechanism):
             count = int(np.count_nonzero(unmapped))
             if count == 0:
                 continue
-            frames = kernel.alloc_local_frames(task.mm, count)
+            frames = kernel.alloc_local_frames(task, count)
             from repro.os.mm.pte import make_ptes
             from repro.os.mm.vma import VmaPerms
 

@@ -71,6 +71,12 @@ class Clock:
         insort(self._alarms, alarm, key=lambda a: a.deadline)
         return alarm
 
+    def alarm_due(self) -> bool:
+        """Whether an armed alarm would fire on the next advance, even a
+        zero-length one (its deadline is at or before ``now``)."""
+        alarms = self._alarms
+        return bool(alarms) and alarms[0].deadline <= self._now
+
     def _fire_due(self, target: int) -> None:
         while self._alarms and self._alarms[0].deadline <= target:
             alarm = self._alarms.pop(0)

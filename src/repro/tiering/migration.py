@@ -53,7 +53,7 @@ def migrate_hot_pages(kernel: Kernel, task: Task) -> MigrationResult:
         if copied:
             total_ns += latency.page_copy_ns(src_cxl=True, dst_cxl=False)
         old_frames = (leaf.ptes[hot] >> PTE_FRAME_SHIFT).astype(np.int64)
-        frames = kernel.alloc_local_frames(task.mm, count)
+        frames = kernel.alloc_local_frames(task, count)
         flags = PteFlags.PRESENT | PteFlags.WRITE | PteFlags.USER | PteFlags.ACCESSED
         leaf.ptes[hot] = make_ptes(frames, int(flags))
         if holds_refs:

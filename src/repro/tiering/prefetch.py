@@ -103,7 +103,7 @@ class DirtyPagePrefetcher:
             if copied:
                 total_ns += kernel.latency.page_copy_ns(src_cxl=True, dst_cxl=False)
 
-            frames = kernel.alloc_local_frames(task.mm, count)
+            frames = kernel.alloc_local_frames(task, count)
             old = child_leaf.ptes[sel]
             was_present_cxl = (
                 (old & np.int64(int(PteFlags.PRESENT))) != 0

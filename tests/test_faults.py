@@ -101,7 +101,7 @@ class TestNodeFailContract:
         with pytest.raises(NodeFailedError):
             kernel.access_range(task, vma.start_vpn, 1, write=False)
         with pytest.raises(NodeFailedError):
-            kernel.alloc_local_frames(task.mm, 1)
+            kernel.alloc_local_frames(task, 1)
 
 
 class TestInjector:
