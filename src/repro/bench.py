@@ -429,8 +429,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument(
         "--plan-off",
         action="store_true",
-        help="turn the restore-plan cache off (workers included); "
-        "digests must still match the baselines",
+        help="stop memoizing restore plans (workers included): every "
+        "restore builds a fresh plan; digests must still match the baselines",
     )
     args = parser.parse_args(argv)
 

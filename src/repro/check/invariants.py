@@ -287,7 +287,7 @@ def check_pod(
             continue
         plan = cached_plan(ckpt)
         if plan is None or plan.frames is None:
-            continue  # planless, or a frameless (mitosis) image
+            continue  # nothing memoized, or a frameless (mitosis) image
         if plan.key != plan_key(ckpt, fabric):
             continue  # stale by its own account; plan_for will rebuild it
         fresh = _ckpt_frames(ckpt)

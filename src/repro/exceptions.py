@@ -4,9 +4,7 @@ Exhaustion happens at two distinct granularities once pods federate into a
 cluster (:mod:`repro.cluster`):
 
 * **pod-level** — every node inside one CXL pod has failed; the pod's
-  scheduler cannot place anything.  Historically this was raised as
-  ``ClusterExhaustedError`` from ``repro.porter.scheduler`` (when "cluster"
-  meant "the one pod"); that name is kept as an alias for compatibility.
+  scheduler cannot place anything.
 * **cluster-level** — every *pod* in the federation is down; the global
   router has nowhere left to ship a request.
 
@@ -24,12 +22,6 @@ class ExhaustionError(RuntimeError):
 
 class PodExhaustedError(ExhaustionError):
     """Every node in one pod has failed; nothing can be placed there."""
-
-
-#: Legacy name from before the federation layer existed, when a "cluster"
-#: was a single pod.  ``repro.porter.scheduler`` re-exports it; existing
-#: ``except ClusterExhaustedError`` sites keep working unchanged.
-ClusterExhaustedError = PodExhaustedError
 
 
 class FederationExhaustedError(ExhaustionError):
@@ -62,7 +54,6 @@ class PoisonError(RuntimeError):
 __all__ = [
     "ExhaustionError",
     "PodExhaustedError",
-    "ClusterExhaustedError",
     "FederationExhaustedError",
     "PoisonError",
 ]

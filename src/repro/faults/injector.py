@@ -61,8 +61,6 @@ class FaultInjector:
         killed = node.fail()
         if not already:
             TRACE.count("faults.crash_injected")
-            node.log.emit(node.clock.now, "fault_injected", fault="crash",
-                          node=node.name)
         return killed
 
     def crash_at(
@@ -87,8 +85,6 @@ class FaultInjector:
                 return
             node.fail()
             TRACE.count("faults.crash_injected")
-            node.log.emit(node.clock.now, "fault_injected", fault="crash",
-                          node=node.name, deadline=deadline_ns)
             if raising:
                 raise InjectedCrash(
                     f"node {node.name!r} crashed at t={node.clock.now}ns "

@@ -163,10 +163,6 @@ class Kernel:
     def latency(self):
         return self.node.fabric.latency
 
-    @property
-    def log(self):
-        return self.node.log
-
     def fault_cost(self, kind: FaultKind, **kw) -> float:
         return self.fault_costs.cost_ns(kind, self.latency, **kw)
 
@@ -424,7 +420,6 @@ class Kernel:
                 child=child.pid,
             )
             TRACE.count("kernel.forks")
-        self.log.emit(self.clock.now, "local_fork", parent=parent.pid, child=child.pid)
         return child, stats
 
     # -- the fault path ----------------------------------------------------------------

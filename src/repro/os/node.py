@@ -17,7 +17,6 @@ from repro.os.kernel import Kernel
 from repro.os.mm.cache import CacheModel
 from repro.os.pagecache import PageCache
 from repro.sim.clock import Clock
-from repro.sim.log import EventLog
 from repro.sim.units import bytes_to_pages
 from repro.telemetry import TRACE
 
@@ -42,7 +41,6 @@ class ComputeNode:
         self.node_id = node_id
         self.name = spec.name
         self.clock = Clock()
-        self.log = EventLog(enabled=False)
         self.dram = FrameAllocator(
             f"{spec.name}:dram",
             base=(node_id + 1) * NODE_FRAME_STRIDE,
@@ -107,7 +105,6 @@ class ComputeNode:
         # Local memory dies with the node.  Quarantine *after* task exits so
         # their CXL reference drops (which matter pod-wide) happen normally.
         self.dram.quarantine()
-        self.log.emit(self.clock.now, "node_failed", node=self.name)
         TRACE.count("node.failures")
         if TRACE.enabled:
             TRACE.add_span(

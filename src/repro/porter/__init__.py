@@ -12,11 +12,7 @@ from repro.porter.ghostpool import GhostContainerPool
 from repro.porter.keepalive import KeepAlivePolicy
 from repro.porter.metrics import LatencyRecorder
 from repro.porter.objectstore import CheckpointObjectStore, StoredCheckpoint
-from repro.porter.scheduler import (
-    ClusterExhaustedError,
-    ClusterScheduler,
-    PodExhaustedError,
-)
+from repro.porter.scheduler import ClusterScheduler, PodExhaustedError
 from repro.porter.tiering_controller import TieringController
 
 __all__ = [
@@ -27,7 +23,6 @@ __all__ = [
     "LatencyRecorder",
     "CheckpointObjectStore",
     "StoredCheckpoint",
-    "ClusterExhaustedError",
     "ClusterScheduler",
     "PodExhaustedError",
     "TieringController",

@@ -35,7 +35,7 @@ from repro.porter.ghostpool import GhostContainerPool
 from repro.porter.keepalive import KeepAlivePolicy
 from repro.porter.metrics import LatencyRecorder
 from repro.porter.objectstore import LOOKUP_NS, CheckpointObjectStore
-from repro.porter.scheduler import ClusterExhaustedError, ClusterScheduler
+from repro.porter.scheduler import ClusterScheduler, PodExhaustedError
 from repro.porter.tiering_controller import TieringController
 from repro.rfork.registry import get_mechanism
 from repro.sim.events import EventQueue
@@ -297,7 +297,7 @@ class CxlPorter:
         )
         try:
             node = self.scheduler.pick_for_start(lambda n: n._porter_running)
-        except ClusterExhaustedError:
+        except PodExhaustedError:
             self._drop(request, reason="cluster_exhausted")
             return
         if entry is not None:
@@ -529,7 +529,7 @@ class CxlPorter:
         """Re-enter the request path (the scheduler re-picks a live node)."""
         try:
             self.submit(request)
-        except ClusterExhaustedError:  # pragma: no cover - submit drops first
+        except PodExhaustedError:  # pragma: no cover - submit drops first
             self._drop(request, reason="cluster_exhausted")
 
     def _drop(self, request: Request, *, reason: str) -> None:

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 # Exhaustion types live in repro.exceptions so pod-level and cluster-level
-# exhaustion are distinct; re-exported here for compatibility.
-from repro.exceptions import ClusterExhaustedError, PodExhaustedError
+# exhaustion are distinct; re-exported here for the porter's callers.
+from repro.exceptions import PodExhaustedError
 from repro.os.node import ComputeNode
 
 
@@ -51,4 +51,4 @@ class ClusterScheduler:
         return getattr(node, "_porter_running", 0)
 
 
-__all__ = ["ClusterScheduler", "ClusterExhaustedError", "PodExhaustedError"]
+__all__ = ["ClusterScheduler", "PodExhaustedError"]

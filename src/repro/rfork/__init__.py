@@ -8,8 +8,8 @@
   serialized OS state, lazy per-page remote copies (§2.3.2, §6.2).
 * :class:`LocalFork` / :class:`ColdStart` — the reference baselines.
 
-All mechanisms restore through the memoized restore-plan cache
-(:mod:`repro.rfork.restoreplan`, runtime-flagged via ``RESTORE_PLAN``):
+CXLfork, CRIU-CXL and Mitosis-CXL restore from a restore plan
+(:mod:`repro.rfork.restoreplan`), memoized while ``RESTORE_PLAN`` is on:
 repeated cold starts of one checkpoint pay O(delta) host work instead of
 re-scanning the image, with epoch-keyed invalidation on poison/repair,
 dedup repoint, and re-seal.

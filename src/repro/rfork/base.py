@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Optional
 
 from repro.os.node import ComputeNode
+from repro.os.proc.namespaces import NamespaceSet
 from repro.os.proc.task import Task
+from repro.sim.units import PAGE_SIZE
 
 #: Cost of creating the process that will call <mechanism>-restore on the
 #: target node (clone + basic setup inside an existing container).
@@ -67,6 +69,34 @@ class RestoreResult:
     metrics: RestoreMetrics
 
 
+def rebuild_os_state(task: Task, node: ComputeNode, record, vmas, metrics) -> None:
+    """Rebuild a deserialized process's OS state on ``node`` (CRIU/Mitosis).
+
+    Restores registers, reopens every fd by path, restores the PID and
+    mount namespaces, then recreates each VMA with an mmap call, noting
+    ``fd_reopen``, ``ns_restore`` and ``vma_rebuild`` in that order.
+    ``record`` is the checkpoint's ``TaskRecord``; ``vmas`` are the plan's
+    rebuilt (immutable, shareable) ``Vma`` objects.
+    """
+    task.regs = record.regs.restore_into()
+    for fd_record in record.fds:
+        entry = fd_record.reopen()
+        inode = node.rootfs.ensure(entry.path)
+        task.fdtable.install(replace(entry, inode=inode.ino))
+    metrics.note("fd_reopen", FD_REOPEN_NS * len(record.fds))
+    task.namespaces = NamespaceSet.restore_into(
+        {"pid": record.namespaces.pid_ns, "mnt": record.namespaces.mnt_ns},
+        task.namespaces,
+    )
+    metrics.note("ns_restore", NS_RESTORE_NS)
+    for vma in vmas:
+        if vma.is_file_backed():
+            node.rootfs.ensure(vma.path, size_bytes=vma.npages * PAGE_SIZE)
+        task.mm.vmas.insert(vma)
+        task.mm.note_range_used(vma.start_vpn, vma.npages)
+    metrics.note("vma_rebuild", MMAP_SYSCALL_NS * len(vmas))
+
+
 class RemoteForkMechanism(abc.ABC):
     """Checkpoint a process on one node; clone it on another."""
 
@@ -113,4 +143,5 @@ __all__ = [
     "FD_REOPEN_NS",
     "NS_RESTORE_NS",
     "MMAP_SYSCALL_NS",
+    "rebuild_os_state",
 ]

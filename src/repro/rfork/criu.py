@@ -26,9 +26,8 @@ from repro.os.mm.pagetable import PTES_PER_LEAF
 from repro.os.mm.pte import PteFlags
 from repro.os.mm.vma import VmaKind
 from repro.os.node import ComputeNode
-from repro.os.proc.namespaces import NamespaceSet
 from repro.os.proc.task import Task, TaskState
-from repro.ras import RAS, seal_checkpoint, verify_checkpoint
+from repro.ras import RAS, seal_checkpoint
 from repro.ras.checksum import checkpoint_frames
 from repro.rfork.restoreplan import (
     RestorePlan,
@@ -37,14 +36,12 @@ from repro.rfork.restoreplan import (
     verify_planned,
 )
 from repro.rfork.base import (
-    FD_REOPEN_NS,
-    MMAP_SYSCALL_NS,
-    NS_RESTORE_NS,
     PROC_CREATE_NS,
     CheckpointMetrics,
     RemoteForkMechanism,
     RestoreMetrics,
     RestoreResult,
+    rebuild_os_state,
 )
 from repro.serial.codec import Codec
 from repro.serial.records import (
@@ -135,23 +132,23 @@ class CriuCheckpoint:
 
 
 def build_restore_plan(checkpoint: CriuCheckpoint) -> RestorePlan:
-    """Memoize the image-derived restore inputs.
+    """Build the image-derived restore inputs.
 
     The rebuilt :class:`~repro.os.mm.vma.Vma` list is safe to share across
     restored tasks (``Vma`` is a frozen dataclass), and the pagemap-install
-    decisions replicate the restore loop's skip rule — a run dumped only
-    because its VMA is not clean-file-backed — which depends only on the
-    checkpoint's own records.  Per-restore side effects (``rootfs.ensure``,
-    frame allocation, ``map_range``) stay live.
+    decisions apply CRIU's skip rule — install a run unless it is clean
+    and lands in a private file mapping (those pages were never dumped) —
+    which depends only on the checkpoint's own records.  Per-restore side
+    effects (``rootfs.ensure``, frame allocation, ``map_range``) stay live.
     """
     plan = RestorePlan()
     plan.frames = checkpoint_frames(checkpoint)
     plan.n_meta_records = 4 + len(checkpoint.vma_records) + len(checkpoint.pagemaps)
     vmas = [r.rebuild(file_registered=True) for r in checkpoint.vma_records]
     plan.vma_specs = vmas
-    # Replicate VmaTree.find over the record set: a pagemap run is skipped
-    # iff it is neither dirty nor hardware-writable and lands in a private
-    # file mapping (those pages were never dumped).
+    # VmaTree.find over the record set: a pagemap run is skipped iff it is
+    # neither dirty nor hardware-writable (mirrors ``_file_clean_pages``)
+    # and lands in a private file mapping.
     by_start = sorted(vmas, key=lambda v: v.start_vpn)
     starts = [v.start_vpn for v in by_start]
     skip_flags = int(PteFlags.DIRTY) | int(PteFlags.WRITE)
@@ -309,8 +306,6 @@ class CriuCxl(RemoteForkMechanism):
             task.thaw()
         span.set(pages=ckpt.dumped_pages, cxl_bytes=ckpt.cxl_bytes)
         span.finish()
-        node.log.emit(node.clock.now, "criu_checkpoint", comm=task.comm,
-                      pages=ckpt.dumped_pages)
         return ckpt, metrics
 
     @staticmethod
@@ -356,12 +351,7 @@ class CriuCxl(RemoteForkMechanism):
         plan = plan_for(checkpoint, node.fabric, build_restore_plan)
         if RAS.active():
             # Fail before spawning anything: a corrupt image never serves.
-            if plan is not None:
-                verify_planned(
-                    node.fabric.device.frames, plan, context="criu.restore"
-                )
-            else:
-                verify_checkpoint(checkpoint, context="criu.restore")
+            verify_planned(node.fabric.device.frames, plan, context="criu.restore")
         kernel = node.kernel
         metrics = RestoreMetrics()
         span = TRACE.span(
@@ -384,9 +374,7 @@ class CriuCxl(RemoteForkMechanism):
                 kernel.exit_task(task)
             raise
 
-    def _restore_into(
-        self, task, checkpoint, node, metrics, plan=None
-    ) -> RestoreResult:
+    def _restore_into(self, task, checkpoint, node, metrics, plan) -> RestoreResult:
         kernel = node.kernel
         latency = node.fabric.latency
 
@@ -397,47 +385,16 @@ class CriuCxl(RemoteForkMechanism):
             "read_files",
             latency.copy_ns(meta_bytes + data_bytes, src_cxl=True, dst_cxl=False),
         )
-        if plan is not None:
-            n_meta_records = plan.n_meta_records
-        else:
-            n_meta_records = (
-                4 + len(checkpoint.vma_records) + len(checkpoint.pagemaps)
-            )
         metrics.note(
             "deserialize_metadata",
-            self.codec.costs.decode_ns(meta_bytes, n_meta_records),
+            self.codec.costs.decode_ns(meta_bytes, plan.n_meta_records),
         )
         metrics.note(
             "deserialize_pages", PAGE_RESTORE_NS * checkpoint.dumped_pages
         )
 
-        record = checkpoint.task_record
-        task.regs = record.regs.restore_into()
-        for fd_record in record.fds:
-            entry = fd_record.reopen()
-            inode = node.rootfs.ensure(entry.path)
-            from dataclasses import replace as dc_replace
-
-            task.fdtable.install(dc_replace(entry, inode=inode.ino))
-        metrics.note("fd_reopen", FD_REOPEN_NS * len(record.fds))
-        task.namespaces = NamespaceSet.restore_into(
-            {"pid": record.namespaces.pid_ns, "mnt": record.namespaces.mnt_ns},
-            task.namespaces,
-        )
-        metrics.note("ns_restore", NS_RESTORE_NS)
-
-        # Recreate every VMA with mmap calls.  The rebuilt Vma objects are
-        # immutable, so the plan shares one list across all restores.
-        if plan is not None:
-            vmas = plan.vma_specs
-        else:
-            vmas = [r.rebuild(file_registered=True) for r in checkpoint.vma_records]
-        for vma in vmas:
-            if vma.is_file_backed():
-                node.rootfs.ensure(vma.path, size_bytes=vma.npages * PAGE_SIZE)
-            task.mm.vmas.insert(vma)
-            task.mm.note_range_used(vma.start_vpn, vma.npages)
-        metrics.note("vma_rebuild", MMAP_SYSCALL_NS * len(checkpoint.vma_records))
+        # Redo regs, fds and namespaces; recreate every VMA with mmap calls.
+        rebuild_os_state(task, node, checkpoint.task_record, plan.vma_specs, metrics)
 
         # Copy every dumped page into fresh local memory.
         flags = (
@@ -447,31 +404,13 @@ class CriuCxl(RemoteForkMechanism):
             | PteFlags.ACCESSED
             | PteFlags.DIRTY
         )
-        if plan is not None:
-            install_specs = plan.install_specs
-            total_installed = plan.total_installed
-        else:
-            install_specs = []
-            total_installed = 0
-            for pagemap in checkpoint.pagemaps:
-                # Skip runs that were not dumped (clean file pages: neither
-                # dirty nor a hardware-writable private copy — mirrors
-                # ``_file_clean_pages``).
-                if not pagemap.flags & (int(PteFlags.DIRTY) | int(PteFlags.WRITE)):
-                    vma = task.mm.vmas.find(pagemap.start_vpn)
-                    if vma is not None and vma.kind is VmaKind.FILE_PRIVATE:
-                        continue
-                install_specs.append((pagemap.start_vpn, pagemap.npages))
-                total_installed += pagemap.npages
-        for start_vpn, npages in install_specs:
+        for start_vpn, npages in plan.install_specs:
             frames = kernel.alloc_local_frames(task, npages)
             task.mm.pagetable.map_range(start_vpn, frames, int(flags))
-        metrics.copied_pages = total_installed
-        metrics.note("install_pages", PTE_INSTALL_NS * total_installed)
+        metrics.copied_pages = plan.total_installed
+        metrics.note("install_pages", PTE_INSTALL_NS * plan.total_installed)
 
         node.clock.advance(metrics.latency_ns)
-        node.log.emit(node.clock.now, "criu_restore", comm=checkpoint.comm,
-                      node=node.name, pages=total_installed)
         return RestoreResult(task=task, metrics=metrics)
 
 

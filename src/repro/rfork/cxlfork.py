@@ -32,7 +32,7 @@ from repro.os.mm.vma import VmaLeaf
 from repro.os.node import ComputeNode
 from repro.os.proc.namespaces import NamespaceSet
 from repro.os.proc.task import Task, TaskState
-from repro.ras import RAS, seal_checkpoint, verify_checkpoint
+from repro.ras import RAS, seal_checkpoint
 from repro.ras.checksum import checkpoint_frames
 from repro.rfork.restoreplan import (
     RestorePlan,
@@ -197,10 +197,11 @@ class CxlForkCheckpoint:
 def build_restore_plan(checkpoint: CxlForkCheckpoint) -> RestorePlan:
     """Memoize the restore inputs that are pure functions of the image.
 
-    Everything here is exactly what a planless ``_restore_into`` computes
-    per restore: the heap derefs, the verify frame set, the upper-table
-    count.  Codec- and prefetcher-dependent fields fill lazily on first
-    use (see :mod:`repro.rfork.restoreplan`).
+    The heap derefs, the verify frame set, the upper-table count (a pure
+    function of the leaf-index set, since a restored task starts with an
+    empty tree), and the present total the naive ablation reinstalls.
+    Codec- and prefetcher-dependent fields fill lazily on first use (see
+    :mod:`repro.rfork.restoreplan`).
     """
     plan = RestorePlan()
     plan.frames = checkpoint_frames(checkpoint)
@@ -442,8 +443,6 @@ class CxlFork(RemoteForkMechanism):
             task.thaw()
         span.set(pages=ckpt.present_pages, cxl_bytes=ckpt.cxl_bytes)
         span.finish()
-        node.log.emit(node.clock.now, "cxlfork_checkpoint", comm=task.comm,
-                      pages=ckpt.present_pages)
         return ckpt, metrics
 
     # -- restore ------------------------------------------------------------------
@@ -462,12 +461,9 @@ class CxlFork(RemoteForkMechanism):
         if RAS.active():
             # Verify before spawning anything: a poisoned image must never
             # begin serving, and failing here leaves nothing to unwind.
-            if plan is not None:
-                verify_planned(
-                    node.fabric.device.frames, plan, context="cxlfork.restore"
-                )
-            else:
-                verify_checkpoint(checkpoint, context="cxlfork.restore")
+            verify_planned(
+                node.fabric.device.frames, plan, context="cxlfork.restore"
+            )
         if policy is None:
             policy = MigrateOnWrite()
         kernel = node.kernel
@@ -497,7 +493,7 @@ class CxlFork(RemoteForkMechanism):
             raise
 
     def _restore_into(
-        self, task, checkpoint, node, policy, metrics, plan=None
+        self, task, checkpoint, node, policy, metrics, plan
     ) -> RestoreResult:
         kernel = node.kernel
         latency = node.fabric.latency
@@ -506,22 +502,16 @@ class CxlFork(RemoteForkMechanism):
         # The decoded state and its (deterministic) decode cost memoize on
         # the plan, keyed by codec identity — a differently-configured
         # codec never serves another codec's decode.
-        if plan is not None:
-            if plan._codec_ref is not self.codec:
-                blob = checkpoint.heap.deref(checkpoint.global_offset)
-                state, decode_ns = self.codec.decode_with_cost(blob, nrecords=8)
-                plan.global_state = state
-                plan.global_decode_ns = decode_ns
-                plan.ns_record = NamespaceRecord.from_wire(state["ns"])
-                plan._codec_ref = self.codec
-            state = plan.global_state
-            decode_ns = plan.global_decode_ns
-            ns_record = plan.ns_record
-        else:
+        if plan._codec_ref is not self.codec:
             blob = checkpoint.heap.deref(checkpoint.global_offset)
             state, decode_ns = self.codec.decode_with_cost(blob, nrecords=8)
-            ns_record = NamespaceRecord.from_wire(state["ns"])
-        metrics.note("global_deserialize", decode_ns)
+            plan.global_state = state
+            plan.global_decode_ns = decode_ns
+            plan.ns_record = NamespaceRecord.from_wire(state["ns"])
+            plan._codec_ref = self.codec
+        state = plan.global_state
+        ns_record = plan.ns_record
+        metrics.note("global_deserialize", plan.global_decode_ns)
         for wire in state["fds"]:
             record = FdRecord.from_wire(wire)
             entry = record.reopen()
@@ -544,19 +534,10 @@ class CxlFork(RemoteForkMechanism):
         )
 
         # Attach the checkpointed VMA tree leaves.
-        if plan is not None:
-            vma_leaves = plan.vma_leaves
-            max_vpn = plan.max_vpn
-        else:
-            vma_leaves = [
-                checkpoint.heap.deref(offset)
-                for offset in checkpoint.vma_leaf_offsets
-            ]
-            max_vpn = checkpoint.max_vpn
-        for leaf in vma_leaves:  # type: VmaLeaf
+        for leaf in plan.vma_leaves:  # type: VmaLeaf
             task.mm.vmas.attach_leaf(leaf)
         if checkpoint.vma_leaves:
-            task.mm.note_range_used(max_vpn, 0)
+            task.mm.note_range_used(plan.max_vpn, 0)
         metrics.note(
             "vma_attach", VMA_LEAF_ATTACH_NS * len(checkpoint.vma_leaf_offsets)
         )
@@ -565,13 +546,7 @@ class CxlFork(RemoteForkMechanism):
         task.mm.ckpt_backing = CheckpointBacking(
             checkpoint=checkpoint, policy=policy, holds_frame_refs=True
         )
-        if plan is not None:
-            pt_attach = plan.pt_attach
-        else:
-            pt_attach = [
-                (leaf_index, checkpoint.heap.deref(offset))
-                for leaf_index, offset in checkpoint.leaf_offsets.items()
-            ]
+        pt_attach = plan.pt_attach
         if self.naive_restore and policy.attach_leaves:
             # Ablation: reconstruct the page tables locally instead of
             # attaching the checkpointed leaves (§4.2.1's strawman).
@@ -583,17 +558,8 @@ class CxlFork(RemoteForkMechanism):
                 metrics.note(
                     "pt_copy", latency.page_copy_ns(src_cxl=True, dst_cxl=False)
                 )
-            if plan is not None:
-                installed = plan.naive_installed
-            else:
-                installed = sum(leaf.present_count() for _, leaf in pt_attach)
-            metrics.note("pt_reinstall", 120.0 * installed)
-            uppers = (
-                plan.upper_tables
-                if plan is not None
-                else task.mm.pagetable.upper_level_tables()
-            )
-            metrics.note("pt_upper_init", UPPER_TABLE_INIT_NS * uppers)
+            metrics.note("pt_reinstall", 120.0 * plan.naive_installed)
+            metrics.note("pt_upper_init", UPPER_TABLE_INIT_NS * plan.upper_tables)
             if checkpoint.data_frames.size:
                 node.fabric.get_frames(checkpoint.data_frames)
         elif policy.attach_leaves:
@@ -602,12 +568,7 @@ class CxlFork(RemoteForkMechanism):
             metrics.note(
                 "pt_attach", PTE_LEAF_ATTACH_NS * len(checkpoint.leaf_offsets)
             )
-            uppers = (
-                plan.upper_tables
-                if plan is not None
-                else task.mm.pagetable.upper_level_tables()
-            )
-            metrics.note("pt_upper_init", UPPER_TABLE_INIT_NS * uppers)
+            metrics.note("pt_upper_init", UPPER_TABLE_INIT_NS * plan.upper_tables)
             if checkpoint.data_frames.size:
                 node.fabric.get_frames(checkpoint.data_frames)
         else:
@@ -630,17 +591,12 @@ class CxlFork(RemoteForkMechanism):
         # never carry WRITE), so they memoize on the plan, keyed by the
         # prefetcher's effectiveness; the per-child installs stay live.
         if policy.prefetch_dirty:
-            specs = None
-            if plan is not None:
-                if plan.prefetch_effectiveness != self.prefetcher.effectiveness:
-                    plan.prefetch_specs = self.prefetcher.dirty_specs(
-                        checkpoint.pagetable
-                    )
-                    plan.prefetch_effectiveness = self.prefetcher.effectiveness
-                specs = plan.prefetch_specs
-            result = self.prefetcher.prefetch(
-                kernel, task, checkpoint.pagetable, specs=specs
-            )
+            if plan.prefetch_effectiveness != self.prefetcher.effectiveness:
+                plan.prefetch_specs = self.prefetcher.dirty_specs(
+                    checkpoint.pagetable
+                )
+                plan.prefetch_effectiveness = self.prefetcher.effectiveness
+            result = self.prefetcher.prefetch(kernel, task, plan.prefetch_specs)
             metrics.background_ns += result.background_ns
             metrics.prefetched_pages = result.pages
             if TRACE.enabled and result.pages:
@@ -650,8 +606,6 @@ class CxlFork(RemoteForkMechanism):
                 )
 
         node.clock.advance(metrics.latency_ns)
-        node.log.emit(node.clock.now, "cxlfork_restore", comm=checkpoint.comm,
-                      node=node.name, policy=policy.name)
         return RestoreResult(task=task, metrics=metrics)
 
     @staticmethod

@@ -15,7 +15,6 @@ RDMA reads).
 
 from __future__ import annotations
 
-from dataclasses import replace as dc_replace
 from typing import Any, Optional
 
 import numpy as np
@@ -25,18 +24,15 @@ from repro.os.mm.faults import FaultKind
 from repro.os.mm.pagetable import PTES_PER_LEAF, PageTable, PteLeaf
 from repro.os.mm.pte import PTE_FRAME_SHIFT, PteFlags
 from repro.os.node import ComputeNode
-from repro.os.proc.namespaces import NamespaceSet
 from repro.os.proc.task import Task, TaskState
 from repro.rfork.restoreplan import RestorePlan, drop_plan, plan_for
 from repro.rfork.base import (
-    FD_REOPEN_NS,
-    MMAP_SYSCALL_NS,
-    NS_RESTORE_NS,
     PROC_CREATE_NS,
     CheckpointMetrics,
     RemoteForkMechanism,
     RestoreMetrics,
     RestoreResult,
+    rebuild_os_state,
 )
 from repro.serial.codec import Codec
 from repro.serial.records import (
@@ -192,8 +188,6 @@ class MitosisCxl(RemoteForkMechanism):
             raise
         finally:
             task.thaw()
-        node.log.emit(node.clock.now, "mitosis_checkpoint", comm=task.comm,
-                      pages=ckpt.present_pages)
         return ckpt, metrics
 
     # -- restore ------------------------------------------------------------------
@@ -232,9 +226,8 @@ class MitosisCxl(RemoteForkMechanism):
             raise
 
     def _restore_into(
-        self, task, checkpoint, node, policy, metrics, plan=None
+        self, task, checkpoint, node, policy, metrics, plan
     ) -> RestoreResult:
-        kernel = node.kernel
         latency = node.fabric.latency
 
         # Ship + deserialize the OS state over the CXL fabric.
@@ -244,41 +237,14 @@ class MitosisCxl(RemoteForkMechanism):
             latency.copy_ns(nbytes, src_cxl=False, dst_cxl=True)
             + latency.copy_ns(nbytes, src_cxl=True, dst_cxl=False),
         )
-        if plan is not None:
-            n_records = plan.n_meta_records
-        else:
-            n_records = (
-                2 + len(checkpoint.vma_records) + checkpoint.present_pages // 64
-            )
         metrics.note(
-            "os_state_deserialize", self.codec.costs.decode_ns(nbytes, n_records)
+            "os_state_deserialize",
+            self.codec.costs.decode_ns(nbytes, plan.n_meta_records),
         )
 
-        record = checkpoint.task_record
-        task.regs = record.regs.restore_into()
-        for fd_record in record.fds:
-            entry = fd_record.reopen()
-            inode = node.rootfs.ensure(entry.path)
-            task.fdtable.install(dc_replace(entry, inode=inode.ino))
-        metrics.note("fd_reopen", FD_REOPEN_NS * len(record.fds))
-        task.namespaces = NamespaceSet.restore_into(
-            {"pid": record.namespaces.pid_ns, "mnt": record.namespaces.mnt_ns},
-            task.namespaces,
-        )
-        metrics.note("ns_restore", NS_RESTORE_NS)
-
-        # Rebuild the VMA tree and the remote-marked page-table skeleton.
-        # Rebuilt Vma objects are immutable, so the plan shares one list.
-        if plan is not None:
-            vmas = plan.vma_specs
-        else:
-            vmas = [r.rebuild(file_registered=True) for r in checkpoint.vma_records]
-        for vma in vmas:
-            if vma.is_file_backed():
-                node.rootfs.ensure(vma.path, size_bytes=vma.npages * PAGE_SIZE)
-            task.mm.vmas.insert(vma)
-            task.mm.note_range_used(vma.start_vpn, vma.npages)
-        metrics.note("vma_rebuild", MMAP_SYSCALL_NS * len(checkpoint.vma_records))
+        # Redo regs, fds and namespaces; rebuild the VMA tree and the
+        # remote-marked page-table skeleton.
+        rebuild_os_state(task, node, checkpoint.task_record, plan.vma_specs, metrics)
         metrics.note(
             "pt_rebuild", PT_REBUILD_PER_PAGE_NS * checkpoint.present_pages
         )
@@ -289,8 +255,6 @@ class MitosisCxl(RemoteForkMechanism):
         )
 
         node.clock.advance(metrics.latency_ns)
-        node.log.emit(node.clock.now, "mitosis_restore", comm=checkpoint.comm,
-                      node=node.name)
         return RestoreResult(task=task, metrics=metrics)
 
 

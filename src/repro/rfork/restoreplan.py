@@ -1,4 +1,6 @@
-"""Memoized restore plans: repeated cold starts pay O(delta), not O(image).
+"""Restore plans: every CXLfork, CRIU-CXL and Mitosis-CXL restore runs from
+one, and repeated cold starts reuse a memoized one, paying O(delta), not
+O(image).
 
 CXLfork's restore is near constant *simulated* time — attach the
 checkpointed PTE/VMA leaves, init the upper tables — but the simulator
@@ -8,8 +10,8 @@ re-decoding the global-state blob, re-deriving prefetch page sets.
 Cluster-scale and fig10 replay thousands of cold starts from a handful of
 warm images, so that host cost dominated the wall clock.
 
-A :class:`RestorePlan` memoizes, per checkpoint, every restore input that
-is a pure function of the sealed image:
+A :class:`RestorePlan` holds, per checkpoint, every restore input that is
+a pure function of the sealed image:
 
 * the concatenated frame array the RAS verify scans (plus a cached
   clean-verify verdict, keyed by the pool's poison epoch);
@@ -53,11 +55,13 @@ seeded ``stale-restore-plan`` mutation (:mod:`repro.check.mutation`)
 deliberately serves across a bump so the checksum/oracle layer can prove
 it would catch the corruption.
 
-Everything a plan serves is bit-identical to what a planless restore
-computes, so simulated time, metrics breakdowns, and bench digests are
-unchanged with the cache on or off (``RESTORE_PLAN.force(False)`` scopes
-a differential check; ``RESTORE_PLAN.disable()`` turns it off for the
-process, and the experiment runner carries that to its workers).
+Every restore gets its plan from :func:`plan_for`, which also refuses a
+deleted checkpoint; the switch only decides whether the plan is
+memoized.  A memoized plan equals a fresh build, so simulated time,
+metrics breakdowns, and bench digests are unchanged with the cache on or
+off (``RESTORE_PLAN.force(False)`` scopes a differential check;
+``RESTORE_PLAN.disable()`` turns memoization off for the process, and the
+experiment runner carries that to its workers).
 """
 
 from __future__ import annotations
@@ -147,28 +151,35 @@ def plan_for(
     checkpoint: Any,
     fabric: Any,
     build: Callable[[Any], RestorePlan],
-) -> Optional[RestorePlan]:
-    """Return a valid plan for ``checkpoint``, building one if needed.
+) -> RestorePlan:
+    """Return a valid plan for ``checkpoint``: the single entry point of
+    every restore.
 
-    Returns ``None`` when the runtime is off — callers fall back to the
-    planless path, which computes exactly what a plan would have served.
-    A memoized plan whose captured epochs no longer match the live ones
-    is discarded and rebuilt (never served), except under the seeded
-    ``stale-restore-plan`` mutation, which serves it anyway so the
-    checksum/oracle layer can prove it catches the consequences.
+    Raises ``ValueError`` for a deleted checkpoint, before anything is
+    built.  With the runtime off, returns ``build(checkpoint)`` without
+    memoizing it (the counters track cache events only, so they stay 0).
+    With it on, a memoized plan is served while its captured epochs match
+    the live ones; otherwise it is discarded and rebuilt (never served),
+    except under the seeded ``stale-restore-plan`` mutation, which serves
+    it anyway so the checksum/oracle layer can prove it catches the
+    consequences.  Either way the caller gets what a fresh build returns.
     """
+    if getattr(checkpoint, "_deleted", False):
+        raise ValueError(
+            f"cannot restore {checkpoint.comm!r}: its checkpoint was deleted"
+        )
     if not RESTORE_PLAN.active():
-        return None
+        return build(checkpoint)
     key = plan_key(checkpoint, fabric)
-    plan = getattr(checkpoint, "_restore_plan", None)
-    if plan is not None:
-        if plan.key == key:
+    cached = getattr(checkpoint, "_restore_plan", None)
+    if cached is not None:
+        if cached.key == key:
             RESTORE_PLAN.hits += 1
-            return plan
+            return cached
         if _mutation.active("stale-restore-plan"):
             # Seeded bug: serve across the epoch bump (see repro.check).
             RESTORE_PLAN.hits += 1
-            return plan
+            return cached
         RESTORE_PLAN.invalidations += 1
     plan = build(checkpoint)
     plan.key = key

@@ -1,4 +1,4 @@
-"""Simulation substrate: virtual time, events, RNG, units, and logging.
+"""Simulation substrate: virtual time, events, RNG, and units.
 
 Everything in the reproduction that "takes time" accrues virtual nanoseconds
 on a :class:`~repro.sim.clock.Clock`.  The FaaS platform experiments
@@ -7,7 +7,6 @@ additionally use the discrete-event queue in :mod:`repro.sim.events`.
 
 from repro.sim.clock import Clock, ClockAlarm
 from repro.sim.events import Event, EventQueue
-from repro.sim.log import EventLog, LogRecord
 from repro.sim.rng import RngStream, SeedSequenceFactory
 from repro.sim.units import (
     GIB,
@@ -30,8 +29,6 @@ __all__ = [
     "ClockAlarm",
     "Event",
     "EventQueue",
-    "EventLog",
-    "LogRecord",
     "RngStream",
     "SeedSequenceFactory",
     "KIB",

@@ -75,25 +75,16 @@ class DirtyPagePrefetcher:
             specs.append((leaf_index, sel, int(np.count_nonzero(sel))))
         return specs
 
-    def prefetch(
-        self,
-        kernel: Kernel,
-        task: Task,
-        ckpt_pagetable: PageTable,
-        specs: list = None,
-    ) -> PrefetchResult:
+    def prefetch(self, kernel: Kernel, task: Task, specs: list) -> PrefetchResult:
         """Install local copies of (a fraction of) checkpoint-dirty pages.
 
-        ``specs`` optionally supplies memoized :meth:`dirty_specs` output;
-        the per-child installs (privatize, allocate, map) stay live either
-        way.
+        ``specs`` is :meth:`dirty_specs` output (memoized on the restore
+        plan); the per-child installs (privatize, allocate, map) stay live.
         """
         total_pages = 0
         total_ns = 0.0
         backing = task.mm.ckpt_backing
         holds_refs = backing is None or backing.holds_frame_refs
-        if specs is None:
-            specs = self.dirty_specs(ckpt_pagetable)
         for leaf_index, sel, count in specs:
             child_leaf, copied = None, False
             if task.mm.pagetable.has_leaf(leaf_index):

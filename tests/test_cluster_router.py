@@ -4,7 +4,6 @@ import pytest
 
 from repro.cluster import PodMembership, RouterConfig, build_federation
 from repro.exceptions import (
-    ClusterExhaustedError,
     ExhaustionError,
     FederationExhaustedError,
     PodExhaustedError,
@@ -38,11 +37,6 @@ class TestExhaustionTypes:
         assert not issubclass(PodExhaustedError, FederationExhaustedError)
         assert issubclass(PodExhaustedError, ExhaustionError)
         assert issubclass(FederationExhaustedError, ExhaustionError)
-
-    def test_cluster_alias_is_pod_exhaustion(self):
-        """Pre-split code caught ClusterExhaustedError for the per-pod
-        condition; the re-export keeps those handlers working."""
-        assert ClusterExhaustedError is PodExhaustedError
 
     def test_route_with_all_pods_down_raises_federation_exhausted(self):
         router, pods = federation()

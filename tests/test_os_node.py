@@ -37,7 +37,6 @@ class TestNodeAccounting:
         a, b = pod.nodes
         a.clock.advance(100)
         assert b.clock.now == 0
-        assert a.log is not b.log
 
     def test_kernel_backref(self, node0):
         assert node0.kernel.node is node0

@@ -5,7 +5,7 @@ import pytest
 from repro.faas.traces import Request
 from repro.faults import FaultInjector
 from repro.porter.autoscaler import CxlPorter, PorterConfig
-from repro.porter.scheduler import ClusterExhaustedError
+from repro.porter.scheduler import PodExhaustedError
 from repro.sim.units import GIB, MS, SEC
 
 
@@ -41,7 +41,7 @@ class TestSchedulerFiltering:
         porter, _, nodes = trio
         for node in nodes:
             node.fail()
-        with pytest.raises(ClusterExhaustedError):
+        with pytest.raises(PodExhaustedError):
             porter.scheduler.pick_for_start(lambda n: 0)
 
 

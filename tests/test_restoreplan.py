@@ -1,5 +1,7 @@
 """Restore-plan cache: memoization, epoch invalidation, bit-identity."""
 
+import re
+
 import pytest
 
 from repro.bench import results_digest
@@ -7,6 +9,9 @@ from repro.check import mutation
 from repro.exceptions import PoisonError
 from repro.experiments.common import make_pod
 from repro.faas.workload import FunctionWorkload
+from repro.faults.audit import audit_pod
+from repro.os.mm.pte import PteFlags
+from repro.os.mm.vma import VmaKind
 from repro.ras import RAS, checkpoint_frames
 from repro.ras.checksum import invalidate_restore_plan
 from repro.rfork.registry import get_mechanism
@@ -86,6 +91,73 @@ class TestMemoization:
         mech, ckpt = _checkpointed(pod, "mitosis-cxl", parent)
         mech.restore(ckpt, pod.target)
         assert cached_plan(ckpt).frames is None
+
+
+class TestDeletedCheckpoint:
+    @pytest.mark.parametrize("mech_name", MECHANISMS)
+    def test_restore_after_delete_raises(self, pod, parent, mech_name):
+        RAS.enable()
+        mech, ckpt = _checkpointed(pod, mech_name, parent)
+        child = mech.restore(ckpt, pod.target).task
+        pod.target.kernel.exit_task(child)
+        mech.delete_checkpoint(ckpt)
+        tasks_before = len(list(pod.target.kernel.tasks()))
+        for plan_on in (True, False):
+            with RESTORE_PLAN.force(plan_on):
+                with pytest.raises(ValueError, match=re.escape(repr(ckpt.comm))):
+                    mech.restore(ckpt, pod.target)
+        assert cached_plan(ckpt) is None  # drop_plan is not undone
+        assert len(list(pod.target.kernel.tasks())) == tasks_before
+        report = audit_pod(pod.fabric, pod.nodes, cxlfs=pod.cxlfs)
+        assert report.clean, report.describe()
+
+
+class TestPlanReference:
+    """Each builder against the same values computed directly on a task."""
+
+    def test_criu_install_specs_follow_vma_skip_rule(self, pod, parent):
+        from repro.rfork.criu import build_restore_plan
+
+        mech, ckpt = _checkpointed(pod, "criu-cxl", parent)
+        task = mech.restore(ckpt, pod.target).task
+        plan = build_restore_plan(ckpt)
+        clean_bits = int(PteFlags.DIRTY) | int(PteFlags.WRITE)
+        install, skipped = [], 0
+        for pagemap in ckpt.pagemaps:
+            if not pagemap.flags & clean_bits:
+                vma = task.mm.vmas.find(pagemap.start_vpn)
+                if vma is not None and vma.kind is VmaKind.FILE_PRIVATE:
+                    skipped += 1
+                    continue
+            install.append((pagemap.start_vpn, pagemap.npages))
+        assert skipped >= 1  # the skip rule really is exercised
+        assert plan.install_specs == install
+        assert plan.total_installed == sum(n for _, n in install)
+        assert plan.n_meta_records == (
+            4 + len(ckpt.vma_records) + len(ckpt.pagemaps)
+        )
+
+    @pytest.mark.parametrize("naive", [False, True])
+    def test_cxlfork_tables_match_restored_pagetable(self, pod, parent, naive):
+        from repro.rfork.cxlfork import CxlFork, build_restore_plan
+
+        _, instance = parent
+        mech = CxlFork(naive_restore=naive)
+        ckpt, _ = mech.checkpoint(instance.task)
+        task = mech.restore(ckpt, pod.target).task
+        plan = build_restore_plan(ckpt)
+        assert plan.upper_tables == task.mm.pagetable.upper_level_tables()
+        attached = [ckpt.heap.deref(off) for off in ckpt.leaf_offsets.values()]
+        assert plan.naive_installed == sum(leaf.present_count() for leaf in attached)
+
+    def test_mitosis_meta_records(self, pod, parent):
+        from repro.rfork.mitosis import build_restore_plan
+
+        _, ckpt = _checkpointed(pod, "mitosis-cxl", parent)
+        plan = build_restore_plan(ckpt)
+        assert plan.n_meta_records == (
+            2 + len(ckpt.vma_records) + ckpt.present_pages // 64
+        )
 
 
 class TestInvalidation:
