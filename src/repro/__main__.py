@@ -7,10 +7,10 @@ Usage::
     python -m repro run fig10 --quick
     python -m repro run fig7 --check
     python -m repro run fig7 --jobs 8
-    python -m repro trace fig6 [-o trace.json] [--jsonl spans.jsonl]
+    python -m repro run fig6 --trace trace.json [--jsonl spans.jsonl]
     python -m repro report [--full] [-o report.md]
     python -m repro bench [--quick] [--update] [fig7 fig3 ...]
-    python -m repro check [--seed 0] [--steps 60] [--scenarios 4]
+    python -m repro check [--seed 0] [--steps 60] [--mutation NAME ...]
 
 Every experiment comes from the registry in :mod:`repro.experiments`.
 """
@@ -39,11 +39,19 @@ def _cmd_run(
     check: bool = False,
     seed: int | None = None,
     jobs: int = 1,
+    trace: str | None = None,
+    jsonl: str | None = None,
 ) -> int:
-    """Run one experiment, print it, and exit non-zero on any gate failure."""
+    """Run one experiment, print it, and exit non-zero on any gate failure.
+    ``check`` adds every switch's line; ``trace``/``jsonl`` run it traced,
+    write the trace there and add the phase table."""
+    # Every module that owns a switch, so the [check] block lists them all.
+    import repro.check.mutation  # noqa: F401
+    import repro.dedup  # noqa: F401
+    import repro.rfork.restoreplan  # noqa: F401
+    from repro.analysis.report import format_phase_breakdown
     from repro.check import CHECK
-    from repro.ras import RAS
-    from repro.rfork.restoreplan import RESTORE_PLAN
+    from repro.telemetry import TRACE, write_chrome_trace, write_jsonl
 
     if name not in REGISTRY:
         print(f"unknown experiment {name!r}; `python -m repro list`",
@@ -61,52 +69,33 @@ def _cmd_run(
         from repro.parallel import default_jobs
 
         jobs = default_jobs()
-    if check:
+    traced = trace is not None or jsonl is not None
+    if check or traced:
         runtime.zero()
-    with CHECK.force(True) if check else contextlib.nullcontext():
+    with contextlib.ExitStack() as scope:
+        if check:
+            scope.enter_context(CHECK.force(True))
+        if traced:
+            scope.enter_context(TRACE.force(True))
         result = experiments.run(name, config, jobs=jobs)
     print(module.format_rows(result))
     failures = module.gates(result)
     for message in failures:
         print(f"FAIL: {message}")
     if check:
-        print(f"\n[check] {CHECK.describe()}")
-        print(f"[check] {RAS.describe()}; {RESTORE_PLAN.describe()}")
-    return 1 if failures else 0
-
-
-def _cmd_trace(
-    name: str,
-    quick: bool,
-    output: str | None,
-    jsonl: str | None,
-) -> int:
-    """Run one experiment under tracing; export the trace + phase table."""
-    from repro.analysis.report import format_phase_breakdown
-    from repro.telemetry import TRACE, write_chrome_trace, write_jsonl
-
-    if name not in REGISTRY:
-        print(f"unknown experiment {name!r}; `python -m repro list`",
-              file=sys.stderr)
-        return 2
-    TRACE.reset()
-    TRACE.enable()
-    try:
-        status = _cmd_run(name, quick)
-    finally:
-        TRACE.disable()
-    if status != 0:
-        return status
-    trace_path = output if output is not None else f"trace-{name}.json"
-    events = write_chrome_trace(trace_path, TRACE)
-    print(f"\nwrote {trace_path} ({events} trace events; "
-          "load in chrome://tracing or https://ui.perfetto.dev)")
+        print()
+        for switch in runtime.SWITCHES.values():
+            print(f"[check] {switch.describe()}")
+    if trace is not None:
+        events = write_chrome_trace(trace)
+        print(f"\nwrote {trace} ({events} trace events; "
+              "load in chrome://tracing or https://ui.perfetto.dev)")
     if jsonl is not None:
-        lines = write_jsonl(jsonl, TRACE)
-        print(f"wrote {jsonl} ({lines} records)")
-    print("\nPhase breakdown (virtual time):\n")
-    print(format_phase_breakdown(TRACE))
-    return 0
+        print(f"wrote {jsonl} ({write_jsonl(jsonl)} records)")
+    if traced:
+        print("\nPhase breakdown (virtual time):\n")
+        print(format_phase_breakdown())
+    return 1 if failures else 0
 
 
 def _cmd_report(full: bool, output: str | None) -> int:
@@ -154,17 +143,12 @@ def main(argv=None) -> int:
                             help="worker processes for sweep grids "
                                  "(0 = one per CPU; results are "
                                  "bit-identical to --jobs 1)")
-    trace_parser = sub.add_parser(
-        "trace", help="run one experiment under tracing; export a trace file"
-    )
-    trace_parser.add_argument("experiment", help="experiment name (see `list`)")
-    trace_parser.add_argument("--quick", action="store_true",
-                              help="the experiment's quick shape")
-    trace_parser.add_argument("-o", "--output", default=None,
-                              help="Chrome trace-event JSON path "
-                                   "(default: trace-<experiment>.json)")
-    trace_parser.add_argument("--jsonl", default=None,
-                              help="also write a JSONL span/metric dump here")
+    run_parser.add_argument("--trace", default=None, metavar="PATH",
+                            help="run traced; write a Chrome trace-event "
+                                 "JSON here and print the phase table")
+    run_parser.add_argument("--jsonl", default=None, metavar="PATH",
+                            help="run traced; write a JSONL span/metric "
+                                 "dump here")
     sub.add_parser(
         "bench",
         help="wall-clock benchmark harness (handled above; see repro.bench)",
@@ -184,10 +168,9 @@ def main(argv=None) -> int:
         return _cmd_list()
     if args.command == "run":
         return _cmd_run(
-            args.experiment, args.quick, args.check, args.seed, args.jobs
+            args.experiment, args.quick, args.check, args.seed, args.jobs,
+            args.trace, args.jsonl,
         )
-    if args.command == "trace":
-        return _cmd_trace(args.experiment, args.quick, args.output, args.jsonl)
     if args.command == "report":
         return _cmd_report(args.full, args.output)
     raise AssertionError("unreachable")

@@ -16,48 +16,28 @@ def _section(out, title: str) -> None:
     out.write(f"\n## {title}\n\n")
 
 
-def format_phase_breakdown(tracer=None, *, names=None) -> str:
-    """Per-phase cost table for the spans recorded on ``tracer``.
+def format_phase_breakdown() -> str:
+    """Per-phase cost table for the spans recorded on :data:`TRACE`.
 
-    Rolls the tracer's top-level spans into per-operation groups with each
-    direct-child phase's total, mean, and share (``python -m repro trace``
-    prints this after running an experiment).  ``names`` restricts the table
-    to specific top-level span names.
+    Rolls the top-level spans into per-operation groups with each
+    direct-child phase's total, mean, and share (``python -m repro run
+    <exp> --trace PATH`` prints this after the experiment's rows).  A
+    corruption run's nonzero ``ras.*`` counters (poison injected/detected,
+    repairs by ladder rung, frames offlined) follow the table.
     """
-    from repro.telemetry import Breakdown, get_tracer
+    from repro.telemetry import TRACE, Breakdown
 
-    tracer = tracer if tracer is not None else get_tracer()
-    breakdown = Breakdown.from_tracer(tracer, names=names)
+    breakdown = Breakdown.from_tracer(TRACE)
     if not breakdown.groups:
         return "(no spans recorded — was tracing enabled?)"
-    table = breakdown.format_table()
-    ras = format_ras_counters(tracer)
-    if ras:
-        table = f"{table}\n\n{ras}"
-    return table
-
-
-def format_ras_counters(tracer=None) -> str:
-    """Memory-integrity tally for a traced run (empty when RAS never ran).
-
-    Surfaces the ``ras.*`` counters — poison injected/detected, repairs by
-    ladder rung, frames offlined, scrub traffic — next to the phase
-    breakdown, so a traced corruption run shows *what the RAS layer did*
-    alongside where the nanoseconds went.
-    """
-    from repro.telemetry import get_tracer
-
-    tracer = tracer if tracer is not None else get_tracer()
+    lines = [breakdown.format_table()]
     counters = [
-        c for name, c in sorted(tracer.metrics.counters.items())
+        c for name, c in sorted(TRACE.metrics.counters.items())
         if name.startswith("ras.") and c.value
     ]
-    if not counters:
-        return ""
-    lines = ["memory integrity (RAS counters)"]
-    lines.append(f"  {'counter':<28} {'value':>12}")
-    for counter in counters:
-        lines.append(f"  {counter.name:<28} {int(counter.value):>12}")
+    if counters:
+        lines += ["", "memory integrity (RAS counters)", f"  {'counter':<28} {'value':>12}"]
+        lines += [f"  {c.name:<28} {int(c.value):>12}" for c in counters]
     return "\n".join(lines)
 
 

@@ -15,8 +15,8 @@ cheaper.  This package proves it on every run that opts in:
 * :mod:`repro.check.fuzz` — seed-reproducible scenario fuzzer driving
   randomized fork/write/read/migrate/crash interleavings through all three
   mechanisms in lockstep.
-* :mod:`repro.check.mutation` — env-var-gated deliberate bugs that the
-  oracle must catch (the checker's own smoke test).
+* :mod:`repro.check.mutation` — deliberate bugs, each behind its own
+  switch, that the oracle must catch (the checker's own smoke test).
 
 :data:`CHECK` is a :class:`repro.runtime.Switch`, so the CLI (``python -m
 repro run <exp> --check``) and the experiment plumbing turn checking on

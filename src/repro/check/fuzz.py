@@ -42,13 +42,15 @@ from checkpoint-based children.  The oracle unit tests cover it separately.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.check import CHECK, CheckFailure
+from repro import runtime
+from repro.check import CHECK, CheckFailure, mutation
 from repro.check.invariants import check_pod
 from repro.check.oracle import DifferentialOracle, diff_views, resolve_view
 from repro.exceptions import PoisonError
@@ -456,12 +458,14 @@ def main(argv=None) -> int:
                         help="number of consecutive seeds to run")
     parser.add_argument("--mechanisms", default=",".join(DEFAULT_MECHANISMS),
                         help="comma-separated lockstep mechanism set")
+    parser.add_argument("--mutation", action="append", default=[],
+                        choices=list(mutation.KNOWN),
+                        help="arm a seeded mutation (repeatable); the run "
+                             "must then fail")
     parser.add_argument("--list-mutations", action="store_true",
                         help="list known seeded mutations and exit")
     args = parser.parse_args(argv)
     if args.list_mutations:
-        from repro.check import mutation
-
         for name, description in mutation.KNOWN.items():
             print(f"{name:<16} {description}")
         return 0
@@ -470,7 +474,10 @@ def main(argv=None) -> int:
     CHECK.zero()
     status = 0
     total_steps = 0
-    with CHECK.force(True):
+    with contextlib.ExitStack() as scope:
+        for switch in (CHECK, *(runtime.SWITCHES[name] for name in args.mutation)):
+            scope.enter_context(switch.force(True))
+        mutations = [m.name for m in mutation.MUTATIONS if m.active()]
         for i in range(args.scenarios):
             seed = args.seed + i
             try:
@@ -493,6 +500,7 @@ def main(argv=None) -> int:
                 f"{len(mechanisms)} mechanism(s) = {result.steps} step(s), "
                 f"{result.oracle_runs} oracle run(s)"
             )
+    print(f"armed mutations: {', '.join(mutations) or 'none'}")
     print(CHECK.describe())
     print(f"total fuzzer steps: {total_steps}")
     return status

@@ -1,11 +1,11 @@
-"""Deliberate, env-var-gated bugs for testing the checkers themselves.
+"""Deliberate, switch-gated bugs for testing the checkers themselves.
 
 A checker that has never caught a bug is untested code.  This module gates
 a small set of *seeded mutations* — deliberate single-bit bugs in the
-production paths — behind the ``REPRO_CHECK_MUTATION`` environment
-variable.  CI (and ``tests/test_check_mutation.py``) enables one, runs the
-differential oracle, and asserts it fires; with the variable unset the
-mutations compile to a dictionary miss and the hot paths are untouched.
+production paths — each behind its own :class:`~repro.runtime.Switch`,
+named after the mutation.  CI (and ``tests/test_check_mutation.py``) arms
+one, runs the differential oracle, and asserts it fires; disarmed, a
+mutation costs its call site one cached switch read.
 
 Known mutations:
 
@@ -45,14 +45,14 @@ Known mutations:
     ``verify_frames`` path — proving stale-plan bugs cannot reach user
     data undetected.
 
-Enable with e.g. ``REPRO_CHECK_MUTATION=drop-ckpt-cow python -m repro check``.
+Arm with e.g. ``python -m repro check --mutation drop-ckpt-cow``, or scope
+one with ``DROP_CKPT_COW.force(True)``; like every switch, an armed
+mutation reaches the experiment runner's worker processes.
 """
 
 from __future__ import annotations
 
-import os
-
-ENV_VAR = "REPRO_CHECK_MUTATION"
+from repro.runtime import Switch
 
 #: Mutation name -> description, for ``python -m repro check --list-mutations``.
 KNOWN = {
@@ -66,21 +66,16 @@ KNOWN = {
 }
 
 
-def active(name: str) -> bool:
-    """True when mutation ``name`` is enabled via the environment.
-
-    Read per call (not cached at import) so tests can monkeypatch the
-    environment; the cost is one ``os.environ`` lookup on the checkpoint
-    path, far below measurement noise.
-    """
-    value = os.environ.get(ENV_VAR)
-    if not value:
-        return False
-    return name in value.split(",")
+#: One switch per mutation, off by default, in :data:`KNOWN` order.
+MUTATIONS = tuple(Switch(name) for name in KNOWN)
+DROP_CKPT_COW, FLIP_FRAME_BYTE, ALIAS_WRONG_CHUNK, STALE_RESTORE_PLAN = MUTATIONS
 
 
-def any_active() -> bool:
-    return bool(os.environ.get(ENV_VAR))
-
-
-__all__ = ["ENV_VAR", "KNOWN", "active", "any_active"]
+__all__ = [
+    "ALIAS_WRONG_CHUNK",
+    "DROP_CKPT_COW",
+    "FLIP_FRAME_BYTE",
+    "KNOWN",
+    "MUTATIONS",
+    "STALE_RESTORE_PLAN",
+]

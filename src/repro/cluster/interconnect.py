@@ -102,7 +102,7 @@ class InterPodLink:
         self.transfers += 1
         self.bytes_sent += nbytes
         done = self.busy_until_ns + int(self.spec.latency_ns)
-        if TRACE.enabled:
+        if TRACE.active():
             TRACE.count("cluster.link_transfers")
             TRACE.count("cluster.link_bytes", nbytes)
             queued = start - int(now)

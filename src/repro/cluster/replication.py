@@ -630,7 +630,7 @@ class Replicator:
                     waiter(None)
                 return
             checkpoint, install_ns = materialize(wire, dst, codec=self.codec)
-            if TRACE.enabled:
+            if TRACE.active():
                 TRACE.add_span(
                     "cluster.replicate",
                     self.queue.now,

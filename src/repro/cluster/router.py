@@ -224,7 +224,7 @@ class ClusterRouter:
         has_image = pod.porter.store.contains(self.config.user, function)
         if has_image:
             self.stats.locality_hits += 1
-        if TRACE.enabled:
+        if TRACE.active():
             TRACE.count("cluster.routed")
             TRACE.add_span(
                 "cluster.route", self.queue.now, self._dispatch_ns,
@@ -295,7 +295,7 @@ class ClusterRouter:
             return False
         self._reroutes[id(request)] = attempts + 1
         self.stats.reroutes += 1
-        if TRACE.enabled:
+        if TRACE.active():
             TRACE.count("cluster.reroutes")
             TRACE.count(f"cluster.reroutes.{reason}")
         best, best_score = None, None

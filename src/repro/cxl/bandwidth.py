@@ -62,7 +62,7 @@ class BandwidthTracker:
         self._offered_total += gbps - self._streams.get(name, 0.0)
         self._streams[name] = gbps
         self._mutated()
-        if TRACE.enabled:
+        if TRACE.active():
             TRACE.count("cxl.stream_updates")
             TRACE.observe("cxl.offered_gbps", self.offered_gbps)
 

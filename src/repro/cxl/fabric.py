@@ -51,7 +51,7 @@ class CxlFabric:
         if self.bandwidth is None:
             return 1.0
         inflation = self.bandwidth.inflation()
-        if TRACE.enabled:
+        if TRACE.active():
             TRACE.observe("cxl.contention_factor", inflation)
         return inflation
 

@@ -178,7 +178,7 @@ class ChunkInterner:
         n = int(codes.size)
         frames = np.empty(n, dtype=np.int64)
         miss_slots: list[int] = []
-        mutate = _mutation.active("alias-wrong-chunk")
+        mutate = _mutation.ALIAS_WRONG_CHUNK.active()
         for i in range(n):
             code = int(codes[i])
             hit = self.index.lookup(code) if code != NO_CODE else None

@@ -3,15 +3,12 @@
 One fast, self-verifying scenario — two independent checkpoints of the
 same function sealed dedup-on, a child restored from the second and
 oracle-verified bit-identical to its parent, and the pod audited for zero
-leaks and a consistent chunk-sharer census.  Exit 0 means the battery
-passed; any lost invariant is exit 1.
+leaks and a consistent chunk-sharer census.
 
-With the seeded mutation armed (``REPRO_CHECK_MUTATION=alias-wrong-chunk``)
-the run *expects* the differential oracle to catch the wrong-chunk alias:
-exit 0 when the oracle fires, exit 1 when the deliberate bug slips
-through.  CI runs both flavors and asserts exit 0 for each, proving the
-dedup path works *and* that its checker actually detects the bug class it
-exists for.
+The smoke runs twice: clean, then with the seeded ``alias-wrong-chunk``
+mutation armed, where the differential oracle must catch the wrong-chunk
+alias.  Exit 0 means both passed — the dedup path works *and* its checker
+detects the bug class it exists for; anything else is exit 1.
 """
 
 from __future__ import annotations
@@ -20,19 +17,27 @@ import argparse
 import sys
 from typing import Optional
 
+from repro.check.mutation import ALIAS_WRONG_CHUNK
 from repro.sim.units import GIB
 
 
 def run_smoke(function: str = "float", *, verbose: bool = True) -> int:
+    """The clean smoke, then the armed one; 0 only if both pass."""
+    if _smoke(function, verbose=verbose):
+        return 1
+    with ALIAS_WRONG_CHUNK.force(True):
+        return _smoke(function, verbose=verbose)
+
+
+def _smoke(function: str, *, verbose: bool) -> int:
     from repro.check import CheckFailure
-    from repro.check import mutation
     from repro.check.invariants import check_pod
     from repro.check.oracle import DifferentialOracle
     from repro.dedup import DEDUP
     from repro.experiments.common import make_pod, prepare_parent
     from repro.rfork.registry import get_mechanism
 
-    armed = mutation.active("alias-wrong-chunk")
+    armed = ALIAS_WRONG_CHUNK.active()
 
     def say(message: str) -> None:
         if verbose:
@@ -99,8 +104,8 @@ def run_smoke(function: str = "float", *, verbose: bool = True) -> int:
 def main(argv: Optional[list] = None) -> int:
     parser = argparse.ArgumentParser(
         description="Dedup CI smoke: cross-checkpoint sharing + oracle "
-        "verification + leak audit (arm REPRO_CHECK_MUTATION="
-        "alias-wrong-chunk to assert the checker catches the seeded bug)."
+        "verification + leak audit, then the seeded alias-wrong-chunk "
+        "mutation, which the oracle must catch."
     )
     parser.add_argument("--function", default="float",
                         help="workload to seal (default: float)")

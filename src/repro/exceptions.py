@@ -50,6 +50,10 @@ class PoisonError(RuntimeError):
             f"detected{where} (e.g. {sample})"
         )
 
+    def __reduce__(self) -> tuple:
+        # Rebuilt from its own arguments, so it crosses a worker boundary.
+        return (type(self), (self.pool, self.frames, self.context), self.__dict__)
+
 
 __all__ = [
     "ExhaustionError",

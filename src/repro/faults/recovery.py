@@ -90,7 +90,7 @@ def call_with_retries(
                 break
             delay = policy.delay_ns(attempt, rng)
             TRACE.count(f"{label}.retries")
-            if TRACE.enabled:
+            if TRACE.active():
                 TRACE.add_span(
                     f"{label}.backoff", clock.now, delay, clock=clock,
                     attempt=attempt, error=type(exc).__name__,

@@ -410,7 +410,7 @@ class Kernel:
         if shootdowns:
             stats.add_cost(self.fault_costs.tlb.shootdown_cost_ns(shootdowns, batched=True))
         self.clock.advance(stats.cost_ns)
-        if TRACE.enabled:
+        if TRACE.active():
             TRACE.add_span(
                 "kernel.local_fork",
                 self.clock.now - int(round(stats.cost_ns)),
@@ -629,7 +629,7 @@ class Kernel:
             offset += chunk_len
             vpn += chunk_len
         self.clock.advance(stats.cost_ns)
-        if TRACE.enabled and stats.total_faults:
+        if TRACE.active() and stats.total_faults:
             for kind, n in stats.counts.items():
                 TRACE.count(f"kernel.fault.{kind.value}", n)
             TRACE.observe("kernel.fault_batch_cost_ns", stats.cost_ns)

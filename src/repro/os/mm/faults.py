@@ -98,7 +98,7 @@ class FaultCostModel:
         cost = self._cost_ns(
             kind, latency, file_vmas_to_register=file_vmas_to_register
         )
-        if TRACE.enabled:
+        if TRACE.active():
             TRACE.observe(f"faultcost.{kind.value}_ns", cost)
         return cost
 

@@ -106,7 +106,7 @@ class ComputeNode:
         # their CXL reference drops (which matter pod-wide) happen normally.
         self.dram.quarantine()
         TRACE.count("node.failures")
-        if TRACE.enabled:
+        if TRACE.active():
             TRACE.add_span(
                 "node.fail", self.clock.now, 0, clock=self.clock,
                 node=self.name, killed=killed,

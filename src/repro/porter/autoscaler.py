@@ -558,7 +558,7 @@ class CxlPorter:
         now = self.queue.now
         latency = now - request.when
         self.metrics.record(request.function, latency, kind=kind)
-        if TRACE.enabled:
+        if TRACE.active():
             TRACE.count(f"porter.requests.{kind}")
             TRACE.observe("porter.request_latency_ns", latency)
         if state.slo_ns:

@@ -289,7 +289,7 @@ class CxlFork(RemoteForkMechanism):
 
             # 1. Copy data pages to CXL and build the rebased page table.
             base_flags = _CKPT_BASE_FLAGS
-            if _mutation.active("drop-ckpt-cow"):
+            if _mutation.DROP_CKPT_COW.active():
                 # Seeded bug for the checker's own smoke test: without COW,
                 # a child's write to a checkpoint-mapped page silently
                 # no-ops instead of CoW-ing local (see repro.check.mutation).
@@ -417,7 +417,7 @@ class CxlFork(RemoteForkMechanism):
             # seal and the cleanup below tears the corrupt image down.
             if RAS.active():
                 seal_checkpoint(ckpt, context="cxlfork.seal")
-            if _mutation.active("flip-frame-byte") and ckpt.data_frames.size:
+            if _mutation.FLIP_FRAME_BYTE.active() and ckpt.data_frames.size:
                 # Seeded bug for the checker's smoke test: corrupt one
                 # checkpointed frame *after* the seal — the restore-time
                 # checksum verification must catch it (repro.check.mutation).
@@ -599,10 +599,10 @@ class CxlFork(RemoteForkMechanism):
             result = self.prefetcher.prefetch(kernel, task, plan.prefetch_specs)
             metrics.background_ns += result.background_ns
             metrics.prefetched_pages = result.pages
-            if TRACE.enabled and result.pages:
+            if TRACE.active() and result.pages:
                 TRACE.add_span(
                     "cxlfork.prefetch_dirty", node.clock.now, result.background_ns,
-                    clock=node.clock, pages=result.pages,
+                    clock=node.clock, top_level=True, pages=result.pages,
                 )
 
         node.clock.advance(metrics.latency_ns)

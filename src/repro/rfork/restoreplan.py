@@ -51,9 +51,9 @@ captured at build time:
 
 A stale plan is **rebuilt, never served**: :func:`plan_for` compares the
 captured key against the live epochs and discards on any mismatch.  The
-seeded ``stale-restore-plan`` mutation (:mod:`repro.check.mutation`)
-deliberately serves across a bump so the checksum/oracle layer can prove
-it would catch the corruption.
+seeded ``stale-restore-plan`` mutation (the ``STALE_RESTORE_PLAN`` switch
+in :mod:`repro.check.mutation`), when armed, serves across a bump so the
+checksum/oracle layer can prove it would catch the corruption.
 
 Every restore gets its plan from :func:`plan_for`, which also refuses a
 deleted checkpoint; the switch only decides whether the plan is
@@ -176,7 +176,7 @@ def plan_for(
         if cached.key == key:
             RESTORE_PLAN.hits += 1
             return cached
-        if _mutation.active("stale-restore-plan"):
+        if _mutation.STALE_RESTORE_PLAN.active():
             # Seeded bug: serve across the epoch bump (see repro.check).
             RESTORE_PLAN.hits += 1
             return cached
@@ -207,7 +207,7 @@ def verify_planned(pool: Any, plan: RestorePlan, *, context: str) -> None:
     """
     if plan.verified_pool_epoch is not None and (
         plan.verified_pool_epoch == pool.epoch
-        or _mutation.active("stale-restore-plan")
+        or _mutation.STALE_RESTORE_PLAN.active()
     ):
         RAS.verifications += 1
         return

@@ -1,7 +1,8 @@
 """repro.runtime — process-global switches with named counters.
 
-The checker (``CHECK``), RAS checksums (``RAS``), dedup (``DEDUP``) and
-restore plans (``RESTORE_PLAN``) are each a :class:`Switch`.  Every
+The checker (``CHECK``), RAS checksums (``RAS``), dedup (``DEDUP``),
+restore plans (``RESTORE_PLAN``), the tracer (``TRACE``) and each seeded
+mutation (:mod:`repro.check.mutation`) are each a :class:`Switch`.  Every
 switch registers itself by name, so the experiment runner can ship the
 caller's switch states to worker processes (:func:`snapshot` /
 :func:`apply`) and bring each point's counters back (:func:`counts` /
@@ -107,7 +108,7 @@ class Switch:
 
     def describe(self) -> str:
         counts = ", ".join(f"{v} {k}" for k, v in self.counts().items())
-        return f"{self.name}: {counts}"
+        return f"{self.name}: {counts or ('on' if self.active() else 'off')}"
 
 
 def snapshot() -> dict:

@@ -5,9 +5,9 @@ and overhead notes.  The usual entry points::
 
     from repro.telemetry import TRACE
 
-    TRACE.enable()
-    with TRACE.span("cxlfork.restore", clock=node.clock):
-        ...
+    with TRACE.force(True):
+        with TRACE.span("cxlfork.restore", clock=node.clock):
+            ...
     write_chrome_trace("trace.json")
     print(Breakdown.from_tracer(TRACE).format_table())
 """
@@ -25,7 +25,6 @@ from repro.telemetry.tracer import (
     MetricRegistry,
     Span,
     Tracer,
-    get_tracer,
 )
 
 __all__ = [
@@ -41,5 +40,4 @@ __all__ = [
     "MetricRegistry",
     "Span",
     "Tracer",
-    "get_tracer",
 ]

@@ -10,9 +10,9 @@ ad-hoc analysis with ``jq``/pandas.
 from __future__ import annotations
 
 import json
-from typing import Any, Optional
+from typing import Any
 
-from repro.telemetry.tracer import TRACE, Tracer
+from repro.telemetry.tracer import TRACE
 
 __all__ = [
     "chrome_trace_events",
@@ -23,17 +23,16 @@ __all__ = [
 _NS_PER_US = 1000.0
 
 
-def chrome_trace_events(tracer: Optional[Tracer] = None) -> list[dict[str, Any]]:
-    """The tracer's spans as a Chrome trace-event list.
+def chrome_trace_events() -> list[dict[str, Any]]:
+    """:data:`TRACE`'s spans as a Chrome trace-event list.
 
     Counters are attached as global-scope counter (``"ph": "C"``) samples at
     the end of the trace so they show up in the viewer's counter tracks.
     """
-    tracer = tracer or TRACE
     events: list[dict[str, Any]] = []
     tracks_seen: set[int] = set()
     last_ns = 0
-    for span in tracer.iter_spans():
+    for span in TRACE.spans():
         end = span.end_ns if span.end_ns is not None else span.start_ns
         last_ns = max(last_ns, end)
         tracks_seen.add(span.track)
@@ -56,10 +55,10 @@ def chrome_trace_events(tracer: Optional[Tracer] = None) -> list[dict[str, Any]]
                 "ph": "M",
                 "pid": 0,
                 "tid": track,
-                "args": {"name": tracer.track_name(track)},
+                "args": {"name": TRACE.track_name(track)},
             }
         )
-    for name, counter in sorted(tracer.metrics.counters.items()):
+    for name, counter in sorted(TRACE.metrics.counters.items()):
         events.append(
             {
                 "name": name,
@@ -72,25 +71,24 @@ def chrome_trace_events(tracer: Optional[Tracer] = None) -> list[dict[str, Any]]
     return events
 
 
-def write_chrome_trace(path: str, tracer: Optional[Tracer] = None) -> int:
+def write_chrome_trace(path: str) -> int:
     """Write a ``chrome://tracing``-loadable JSON file; returns event count."""
-    events = chrome_trace_events(tracer)
+    events = chrome_trace_events()
     document = {"traceEvents": events, "displayTimeUnit": "ms"}
     with open(path, "w") as handle:
         json.dump(document, handle)
     return len(events)
 
 
-def write_jsonl(path: str, tracer: Optional[Tracer] = None) -> int:
+def write_jsonl(path: str) -> int:
     """Write one JSON object per span/counter/histogram; returns line count."""
-    tracer = tracer or TRACE
     lines = 0
     with open(path, "w") as handle:
-        for span in tracer.iter_spans():
+        for span in TRACE.spans():
             record: dict[str, Any] = {
                 "type": "span",
                 "name": span.name,
-                "track": tracer.track_name(span.track),
+                "track": TRACE.track_name(span.track),
                 "start_ns": span.start_ns,
                 "end_ns": span.end_ns,
                 "parent_id": span.parent_id,
@@ -100,13 +98,13 @@ def write_jsonl(path: str, tracer: Optional[Tracer] = None) -> int:
                 record["attrs"] = dict(span.attrs)
             handle.write(json.dumps(record) + "\n")
             lines += 1
-        for name, counter in sorted(tracer.metrics.counters.items()):
+        for name, counter in sorted(TRACE.metrics.counters.items()):
             handle.write(
                 json.dumps({"type": "counter", "name": name, "value": counter.value})
                 + "\n"
             )
             lines += 1
-        for name, histogram in sorted(tracer.metrics.histograms.items()):
+        for name, histogram in sorted(TRACE.metrics.histograms.items()):
             handle.write(
                 json.dumps(
                     {

@@ -9,8 +9,8 @@ nanosecond went* instead of only *how many were spent*.
 Design constraints:
 
 * **Near-zero overhead when disabled.**  Every instrumentation site guards
-  on ``TRACE.enabled`` (one attribute load) or receives the shared no-op
-  span; nothing is allocated or recorded on the disabled path.
+  on ``TRACE.active()`` (one cached attribute read) or receives the shared
+  no-op span; nothing is allocated or recorded on the disabled path.
 * **Virtual time, not wall time.**  A span binds to any object exposing a
   ``.now`` integer (a :class:`~repro.sim.clock.Clock`, an
   :class:`~repro.sim.events.EventQueue`, ...) and snapshots it on entry and
@@ -20,16 +20,19 @@ Design constraints:
   matching child span by laying phases end-to-end from the span's start, so
   the children exactly tile the parent.
 
-The process-wide tracer is :data:`TRACE`; experiments and the
-``python -m repro trace`` CLI enable it, run, then export.
+The process-wide tracer is :data:`TRACE`, the ``trace``
+:class:`~repro.runtime.Switch`; ``python -m repro run <exp> --trace PATH``
+forces it on, runs, then exports.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Iterator, Optional
+from typing import Any, Optional
 
 import numpy as np
+
+from repro.runtime import Switch
 
 __all__ = [
     "Counter",
@@ -38,7 +41,6 @@ __all__ = [
     "Span",
     "Tracer",
     "TRACE",
-    "get_tracer",
 ]
 
 
@@ -158,7 +160,7 @@ class Span:
         "start_ns",
         "end_ns",
         "attrs",
-        "_cursor",
+        "_elapsed",
     )
 
     #: Distinguishes real spans from the no-op span without isinstance checks.
@@ -173,6 +175,8 @@ class Span:
         track: int,
         clock: Any,
         attrs: dict[str, Any],
+        start_ns: Optional[int] = None,
+        end_ns: Optional[int] = None,
     ) -> None:
         self.tracer = tracer
         self.name = name
@@ -180,10 +184,10 @@ class Span:
         self.parent_id = parent_id
         self.track = track
         self.clock = clock
-        self.start_ns = int(clock.now)
-        self.end_ns: Optional[int] = None
+        self.start_ns = int(clock.now) if start_ns is None else start_ns
+        self.end_ns = end_ns
         self.attrs = attrs
-        self._cursor = self.start_ns
+        self._elapsed = 0.0
 
     @property
     def duration_ns(self) -> int:
@@ -196,16 +200,14 @@ class Span:
 
     def add_phase(self, name: str, duration_ns: float, **attrs: Any) -> "Span":
         """Record a finished child span laid immediately after the previous
-        phase, so consecutive phases tile this span's interval."""
-        start = self._cursor
-        duration = int(round(duration_ns))
-        self._cursor = start + duration
+        phase, so consecutive phases tile this span's interval.  Phase ends
+        round the running total, as a clock advanced by it would."""
+        start = self.start_ns + int(round(self._elapsed))
+        self._elapsed += duration_ns
         child = Span(
-            self.tracer, name, next(self.tracer._ids), self.span_id,
-            self.track, _ZERO_CLOCK, attrs,
+            self.tracer, name, next(self.tracer._ids), self.span_id, self.track,
+            _ZERO_CLOCK, attrs, start, self.start_ns + int(round(self._elapsed)),
         )
-        child.start_ns = start
-        child.end_ns = start + duration
         self.tracer._spans.append(child)
         return child
 
@@ -220,6 +222,13 @@ class Span:
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.finish()
         return False
+
+    def __reduce__(self) -> tuple:
+        """Pickle as a plain record; the tracer and clock stay behind."""
+        return (Span, (
+            None, self.name, self.span_id, self.parent_id, self.track,
+            _ZERO_CLOCK, self.attrs, self.start_ns, self.end_ns,
+        ))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -253,52 +262,75 @@ class _NoopSpan:
 _NOOP_SPAN = _NoopSpan()
 
 
-class Tracer:
-    """Process-wide span/counter/histogram registry.
+class Tracer(Switch):
+    """Process-wide span/counter/histogram registry: the ``trace`` switch.
 
-    One instance (:data:`TRACE`) serves the whole process; tests and the
-    trace CLI :meth:`reset` it rather than replace it, so modules can hold a
-    direct reference without staleness.
+    Its records (spans, tracks, counter and histogram values) are the
+    switch's counts, so the experiment runner brings a worker's trace back
+    like any counter: :meth:`zero` swaps them for empty ones, :meth:`add`
+    appends another run's after these.
     """
 
-    def __init__(self, enabled: bool = False) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
+        self._stack: list[Span] = []
+        super().__init__("trace")
+
+    # -- records -----------------------------------------------------------------
+
+    def zero(self) -> None:
         self.metrics = MetricRegistry()
         self._spans: list[Span] = []
-        self._stack: list[Span] = []
         self._ids = itertools.count(1)
-        self._tracks: dict[int, int] = {}
+        # Keyed by the clock itself: a live key's identity is never reused.
+        self._tracks: dict[Any, int] = {}
         self._track_names: dict[int, str] = {}
+        self._ntracks = 0
 
-    # -- lifecycle ---------------------------------------------------------------
+    def counts(self) -> dict:
+        return {
+            "spans": self._spans,
+            "tracks": self._ntracks,
+            "track_names": self._track_names,
+            "counters": {n: c.value for n, c in self.metrics.counters.items()},
+            "histograms": {n: h.values for n, h in self.metrics.histograms.items()},
+        }
 
-    def enable(self) -> None:
-        self.enabled = True
+    def add(self, records: dict) -> None:
+        """Append ``records`` (a :meth:`counts`): their span ids follow
+        this tracer's, their tracks come after its tracks."""
+        id_base, track_base = len(self._spans), self._ntracks
+        spans = records["spans"]
+        if id_base or track_base:
+            for span in spans:
+                span.span_id += id_base
+                if span.parent_id is not None:
+                    span.parent_id += id_base
+                span.track += track_base
+        self._spans.extend(spans)
+        self._ids = itertools.count(len(self._spans) + 1)
+        self._ntracks += records["tracks"]
+        for track, name in records["track_names"].items():
+            self._track_names[track + track_base] = name
+        for name, value in records["counters"].items():
+            self.metrics.counter(name).add(value)
+        for name, values in records["histograms"].items():
+            self.metrics.histogram(name).values.extend(values)
 
-    def disable(self) -> None:
-        self.enabled = False
-
-    def reset(self) -> None:
-        """Drop all recorded state (spans, metrics, tracks); keep ``enabled``."""
-        self.metrics.clear()
-        self._spans.clear()
-        self._stack.clear()
-        self._ids = itertools.count(1)
-        self._tracks.clear()
-        self._track_names.clear()
+    def describe(self) -> str:
+        return f"trace: {len(self._spans)} span(s), {len(self.metrics.counters)} counter(s)"
 
     # -- tracks ------------------------------------------------------------------
 
     def _track_of(self, clock: Any) -> int:
-        key = id(clock)
-        track = self._tracks.get(key)
+        track = self._tracks.get(clock)
         if track is None:
-            track = self._tracks[key] = len(self._tracks)
+            track = self._tracks[clock] = self._ntracks
+            self._ntracks += 1
         return track
 
     def register_track(self, clock: Any, name: str) -> None:
         """Give the track of ``clock`` a human-readable name in exports."""
-        if not self.enabled:
+        if not self._active:
             return
         self._track_names[self._track_of(clock)] = name
 
@@ -313,7 +345,7 @@ class Tracer:
         ``clock`` is any object with an integer ``.now``; when omitted, the
         enclosing span's clock is inherited (or a zero clock at top level).
         """
-        if not self.enabled:
+        if not self._active:
             return _NOOP_SPAN
         parent = self._stack[-1] if self._stack else None
         if clock is None:
@@ -334,24 +366,27 @@ class Tracer:
         duration_ns: float,
         *,
         clock: Any = None,
+        top_level: bool = False,
         **attrs: Any,
     ) -> None:
         """Record an already-finished span (e.g. background work whose
-        duration is known but which never held the clock)."""
-        if not self.enabled:
+        duration is known but which never held the clock).
+
+        It is a child of the open span unless ``top_level``: work off the
+        open span's critical path is not one of its phases.
+        """
+        if not self._active:
             return
         parent = self._stack[-1] if self._stack else None
         track = self._track_of(clock) if clock is not None else (
             parent.track if parent is not None else self._track_of(_ZERO_CLOCK)
         )
-        span = Span(
+        start = int(start_ns)
+        self._spans.append(Span(
             self, name, next(self._ids),
-            parent.span_id if parent is not None else None,
-            track, _ZERO_CLOCK, attrs,
-        )
-        span.start_ns = int(start_ns)
-        span.end_ns = int(start_ns) + int(round(duration_ns))
-        self._spans.append(span)
+            None if parent is None or top_level else parent.span_id,
+            track, _ZERO_CLOCK, attrs, start, start + int(round(duration_ns)),
+        ))
 
     def _close(self, span: Span) -> None:
         # Spans close LIFO in correct code; tolerate (and repair) mismatched
@@ -368,24 +403,17 @@ class Tracer:
             return list(self._spans)
         return [s for s in self._spans if s.name == name]
 
-    def iter_spans(self) -> Iterator[Span]:
-        return iter(self._spans)
-
     # -- metrics shortcuts -------------------------------------------------------
 
     def count(self, name: str, n: float = 1) -> None:
-        if self.enabled:
+        if self._active:
             self.metrics.counter(name).add(n)
 
     def observe(self, name: str, value: float) -> None:
-        if self.enabled:
+        if self._active:
             self.metrics.histogram(name).observe(value)
 
 
-#: The process-wide tracer.  Disabled by default; modules may safely hold a
-#: reference — it is reset in place, never replaced.
-TRACE = Tracer(enabled=False)
-
-
-def get_tracer() -> Tracer:
-    return TRACE
+#: The process-wide tracer.  Off by default; modules may safely hold a
+#: reference — it is zeroed in place, never replaced.
+TRACE = Tracer()

@@ -61,7 +61,7 @@ def migrate_hot_pages(kernel: Kernel, task: Task) -> MigrationResult:
         total_pages += count
         total_ns += latency.copy_ns(count * PAGE_SIZE, src_cxl=True, dst_cxl=False)
         total_ns += kernel.fault_costs.tlb.shootdown_cost_ns(count, batched=True)
-    if TRACE.enabled and total_pages:
+    if TRACE.active() and total_pages:
         TRACE.add_span(
             "tiering.migrate_hot_pages", kernel.clock.now, total_ns,
             clock=kernel.clock, comm=task.comm, pages=total_pages,

@@ -59,11 +59,11 @@ class TestCli:
         trace_path = tmp_path / "trace.json"
         jsonl_path = tmp_path / "spans.jsonl"
         assert main([
-            "trace", "fig6",
-            "-o", str(trace_path),
+            "run", "fig6",
+            "--trace", str(trace_path),
             "--jsonl", str(jsonl_path),
         ]) == 0
-        assert not TRACE.enabled  # disabled again afterwards
+        assert not TRACE.active()  # off again afterwards
         out = capsys.readouterr().out
         assert "Phase breakdown" in out
         assert "faas.container_create" in out
@@ -88,8 +88,31 @@ class TestCli:
         assert breakdown.total_ns / 1e6 == pytest.approx(reported_ms, rel=0.01)
         TRACE.reset()
 
-    def test_trace_unknown(self, capsys):
-        assert main(["trace", "nope"]) == 2
+    def test_trace_unknown(self, capsys, tmp_path):
+        assert main(["run", "nope", "--trace", str(tmp_path / "t.json")]) == 2
+
+    def test_trace_is_the_same_at_any_jobs(self, capsys, tmp_path):
+        """Each point's spans and metrics come back from its worker: the
+        trace files and the phase table match the serial run's."""
+        from repro.telemetry import TRACE
+
+        runs = []
+        try:
+            for jobs in ("1", "2"):
+                trace, jsonl = tmp_path / f"t{jobs}.json", tmp_path / f"t{jobs}.jsonl"
+                assert main([
+                    "run", "fig7", "--quick", "--jobs", jobs,
+                    "--trace", str(trace), "--jsonl", str(jsonl),
+                ]) == 0
+                out = capsys.readouterr().out
+                runs.append((
+                    trace.read_bytes(), jsonl.read_bytes(),
+                    out[out.index("Phase breakdown"):],
+                ))
+        finally:
+            TRACE.reset()
+        assert runs[0] == runs[1]
+        assert "cxlfork.restore" in runs[0][2]
 
     def test_registry_modules_importable(self):
         import importlib

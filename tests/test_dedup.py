@@ -374,14 +374,14 @@ class TestMutationSmoke:
     def test_listed_in_registry(self):
         assert "alias-wrong-chunk" in mutation.KNOWN
 
-    def test_oracle_catches_the_wrong_chunk(self, monkeypatch, dedup_on):
-        monkeypatch.setenv(mutation.ENV_VAR, "alias-wrong-chunk")
+    def test_oracle_catches_the_wrong_chunk(self, dedup_on):
         pod = make_pod(node_count=2, dram_bytes=2 * GIB, cxl_bytes=16 * GIB)
         mech = get_mechanism("cxlfork", fabric=pod.fabric, cxlfs=pod.cxlfs)
         prepare_a = prepare_parent(pod, "float")
         prepare_b = prepare_parent(pod, "float", node=pod.nodes[1])
-        mech.checkpoint(prepare_a.instance.task)
-        ckpt_b, _ = mech.checkpoint(prepare_b.instance.task)
+        with mutation.ALIAS_WRONG_CHUNK.force(True):
+            mech.checkpoint(prepare_a.instance.task)
+            ckpt_b, _ = mech.checkpoint(prepare_b.instance.task)
         oracle = DifferentialOracle(prepare_b.instance.task)
         restored = mech.restore(ckpt_b, pod.nodes[0])
         with pytest.raises(CheckFailure) as info:
@@ -389,11 +389,12 @@ class TestMutationSmoke:
         assert "wrong-chunk" in str(info.value)
 
     def test_selftest_cli_armed_and_clean(self, monkeypatch):
-        monkeypatch.delenv(mutation.ENV_VAR, raising=False)
+        """One selftest run covers the clean seal and the armed one; it
+        fails when the oracle's wrong-chunk check is blind."""
         assert run_smoke("float", verbose=False) == 0
-        monkeypatch.setenv(mutation.ENV_VAR, "alias-wrong-chunk")
-        assert run_smoke("float", verbose=False) == 0
+        assert not mutation.ALIAS_WRONG_CHUNK.active()
+        monkeypatch.setattr(DifferentialOracle, "verify_child", lambda self, task: None)
+        assert run_smoke("float", verbose=False) == 1
 
-    def test_disarmed_seal_is_clean(self, monkeypatch, dedup_on):
-        monkeypatch.delenv(mutation.ENV_VAR, raising=False)
+    def test_disarmed_seal_is_clean(self, dedup_on):
         assert run_smoke("float", verbose=False) == 0

@@ -41,14 +41,14 @@ def test_experiment_conforms_to_protocol(name, capsys):
 def test_import_loads_no_other_experiment(module_path):
     """The registry is lazy: one import pulls in no other experiment."""
     code = (
-        f"import sys, {module_path}\n"
+        f"import sys; sys.path.insert(0, {SRC!r})\n"
+        f"import {module_path}\n"
         "from repro.experiments import REGISTRY\n"
         "paths = {path for path, _ in REGISTRY.values()}\n"
         "print(sorted(paths & set(sys.modules)))\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": SRC},
         capture_output=True, text=True, check=True,
     ).stdout.strip()
     expected = [module_path] if module_path.startswith("repro.experiments.") else []
@@ -73,19 +73,25 @@ class TestCheckCounters:
 
     def test_parallel_run_reports_the_serial_counts(self, capsys):
         """Counters made in worker processes come back with each point:
-        the checker's, and the RAS and restore-plan ones beneath it."""
+        one line per registered switch, the same at any --jobs."""
         summaries = []
         for jobs in ("1", "2"):
             assert main(["run", "fig7", "--quick", "--check", "--jobs", jobs]) == 0
             out = capsys.readouterr().out
             summaries.append(out[out.index("[check]"):])
         assert summaries[0] == summaries[1]
-        check_line, counter_line = summaries[0].strip().splitlines()
-        assert "check: 0 oracle" not in check_line
-        assert check_line.endswith("clean")
-        assert counter_line.startswith("[check] ras: ")
-        assert "ras: 0 seals" not in counter_line
-        assert "restore-plan: 0 builds" not in counter_line
+        lines = {
+            line.split()[1].rstrip(":"): line
+            for line in summaries[0].strip().splitlines()
+        }
+        assert set(lines) == set(runtime.SWITCHES)
+        assert "check: 0 oracle" not in lines["check"]
+        assert lines["check"].endswith("clean")
+        assert "ras: 0 seals" not in lines["ras"]
+        assert "restore-plan: 0 builds" not in lines["restore-plan"]
+        assert lines["dedup"] == "[check] dedup: off"
+        assert lines["drop-ckpt-cow"] == "[check] drop-ckpt-cow: off"
+        assert lines["trace"] == "[check] trace: 0 span(s), 0 counter(s)"
         assert not CHECK.active() and not RAS.active()
 
     def test_run_check_error_leaves_checking_off(self, monkeypatch):

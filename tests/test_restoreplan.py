@@ -212,9 +212,7 @@ class TestStaleMutation:
     def test_listed_in_registry(self):
         assert "stale-restore-plan" in mutation.KNOWN
 
-    def test_armed_serves_stale_but_fault_path_catches(
-        self, pod, parent, monkeypatch
-    ):
+    def test_armed_serves_stale_but_fault_path_catches(self, pod, parent):
         """The seeded bug: a stale plan (and its cached clean verdict) is
         served across a poison-epoch bump, so the restore-time checksum is
         blinded — the child's first fault on a poisoned checkpoint frame
@@ -224,16 +222,15 @@ class TestStaleMutation:
         mech, ckpt = _checkpointed(pod, "cxlfork", parent)
         mech.restore(ckpt, pod.target)  # memoize plan + clean verdict
         pod.fabric.device.frames.poison(ckpt.data_frames)
-        monkeypatch.setenv(mutation.ENV_VAR, "stale-restore-plan")
-        result = mech.restore(ckpt, pod.target)  # wrongly succeeds
-        assert result.task is not None
-        child = workload.placed_plan_for(instance, result.task)
-        with pytest.raises(PoisonError):
-            workload.invoke(child)
+        with mutation.STALE_RESTORE_PLAN.force(True):
+            result = mech.restore(ckpt, pod.target)  # wrongly succeeds
+            assert result.task is not None
+            child = workload.placed_plan_for(instance, result.task)
+            with pytest.raises(PoisonError):
+                workload.invoke(child)
 
-    def test_disarmed_restore_refuses(self, pod, parent, monkeypatch):
+    def test_disarmed_restore_refuses(self, pod, parent):
         RAS.enable()
-        monkeypatch.delenv(mutation.ENV_VAR, raising=False)
         mech, ckpt = _checkpointed(pod, "cxlfork", parent)
         mech.restore(ckpt, pod.target)
         pod.fabric.device.frames.poison(ckpt.data_frames)

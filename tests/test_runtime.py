@@ -3,13 +3,14 @@
 import pytest
 
 from repro import runtime
-from repro.check import CHECK
+from repro.check import CHECK, mutation
 from repro.dedup import DEDUP
 from repro.ras import RAS
 from repro.rfork.restoreplan import RESTORE_PLAN
 from repro.runtime import Switch
+from repro.telemetry import TRACE
 
-SWITCHES = [CHECK, RAS, DEDUP, RESTORE_PLAN]
+SWITCHES = [CHECK, RAS, DEDUP, RESTORE_PLAN, *mutation.MUTATIONS]
 
 
 @pytest.fixture(autouse=True)
@@ -95,3 +96,13 @@ def test_counts_zero_add_round_trip():
     runtime.add(saved)
     runtime.add({"ras": {"seals": 1}, "never-imported": {"x": 1}})
     assert (RAS.seals, RESTORE_PLAN.builds) == (3, 5)
+
+
+def test_one_switch_type():
+    """Every process-global on/off state is a registered Switch."""
+    assert set(runtime.SWITCHES) >= {
+        "check", "ras", "dedup", "restore-plan", "trace", *mutation.KNOWN
+    }
+    assert all(isinstance(s, Switch) for s in runtime.SWITCHES.values())
+    assert runtime.SWITCHES["trace"] is TRACE
+    assert not {"enable", "disable", "reset"} & set(vars(type(TRACE)))

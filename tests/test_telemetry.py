@@ -4,12 +4,12 @@ import json
 
 import pytest
 
+from repro import runtime
 from repro.sim.clock import Clock
 from repro.telemetry import (
     TRACE,
     Breakdown,
     MetricRegistry,
-    Tracer,
     chrome_trace_events,
     write_chrome_trace,
     write_jsonl,
@@ -19,17 +19,11 @@ from repro.telemetry.tracer import _NOOP_SPAN
 
 
 @pytest.fixture
-def tracer():
-    return Tracer(enabled=True)
-
-
-@pytest.fixture
 def traced():
-    """The global tracer, enabled for one test and restored after."""
+    """The global traced, on and empty for one test, reset after."""
     TRACE.reset()
     TRACE.enable()
     yield TRACE
-    TRACE.disable()
     TRACE.reset()
 
 
@@ -65,113 +59,160 @@ class TestMetrics:
 
 
 class TestSpans:
-    def test_span_snapshots_virtual_time(self, tracer):
+    def test_span_snapshots_virtual_time(self, traced):
         clock = Clock()
         clock.advance(100)
-        with tracer.span("op", clock=clock) as span:
+        with traced.span("op", clock=clock) as span:
             clock.advance(250)
         assert span.start_ns == 100
         assert span.end_ns == 350
         assert span.duration_ns == 250
 
-    def test_child_inherits_clock_and_parent(self, tracer):
+    def test_child_inherits_clock_and_parent(self, traced):
         clock = Clock()
-        with tracer.span("outer", clock=clock) as outer:
-            with tracer.span("inner") as inner:
+        with traced.span("outer", clock=clock) as outer:
+            with traced.span("inner") as inner:
                 clock.advance(10)
             assert inner.clock is clock
             assert inner.parent_id == outer.span_id
         assert outer.parent_id is None
         assert outer.duration_ns == 10
 
-    def test_phases_tile_from_span_start(self, tracer):
+    def test_phases_tile_from_span_start(self, traced):
         clock = Clock()
         clock.advance(1000)
-        with tracer.span("restore", clock=clock) as span:
+        with traced.span("restore", clock=clock) as span:
             span.add_phase("attach", 30)
             span.add_phase("fixup", 70)
             clock.advance(100)
-        attach, fixup = tracer.spans("attach")[0], tracer.spans("fixup")[0]
+        attach, fixup = traced.spans("attach")[0], traced.spans("fixup")[0]
         assert (attach.start_ns, attach.end_ns) == (1000, 1030)
         assert (fixup.start_ns, fixup.end_ns) == (1030, 1100)
         assert attach.duration_ns + fixup.duration_ns == span.duration_ns
         assert attach.parent_id == span.span_id
 
-    def test_add_span_records_background_work(self, tracer):
+    def test_add_span_records_background_work(self, traced):
         clock = Clock()
-        tracer.add_span("prefetch", 500, 200, clock=clock, pages=17)
-        (span,) = tracer.spans("prefetch")
+        traced.add_span("prefetch", 500, 200, clock=clock, pages=17)
+        (span,) = traced.spans("prefetch")
         assert (span.start_ns, span.end_ns) == (500, 700)
         assert span.attrs["pages"] == 17
 
-    def test_set_updates_attrs(self, tracer):
-        with tracer.span("op", clock=Clock()) as span:
+    def test_set_updates_attrs(self, traced):
+        with traced.span("op", clock=Clock()) as span:
             span.set(pages=3)
         assert span.attrs["pages"] == 3
 
-    def test_distinct_clocks_get_distinct_tracks(self, tracer):
+    def test_distinct_clocks_get_distinct_tracks(self, traced):
         a, b = Clock(), Clock()
-        tracer.register_track(a, "node0")
-        with tracer.span("x", clock=a):
+        traced.register_track(a, "node0")
+        with traced.span("x", clock=a):
             pass
-        with tracer.span("y", clock=b):
+        with traced.span("y", clock=b):
             pass
-        sa, sb = tracer.spans("x")[0], tracer.spans("y")[0]
+        sa, sb = traced.spans("x")[0], traced.spans("y")[0]
         assert sa.track != sb.track
-        assert tracer.track_name(sa.track) == "node0"
+        assert traced.track_name(sa.track) == "node0"
 
-    def test_exception_exits_span(self, tracer):
+    def test_exception_exits_span(self, traced):
         clock = Clock()
         with pytest.raises(RuntimeError):
-            with tracer.span("boom", clock=clock):
+            with traced.span("boom", clock=clock):
                 clock.advance(5)
                 raise RuntimeError
-        (span,) = tracer.spans("boom")
+        (span,) = traced.spans("boom")
         assert span.end_ns == 5
-        assert tracer._stack == []
+        assert traced._stack == []
 
 
 class TestDisabled:
-    def test_disabled_records_nothing(self):
-        tracer = Tracer(enabled=False)
-        with tracer.span("op", clock=Clock(), attr=1) as span:
-            span.add_phase("p", 10)
-            span.set(x=2)
-        tracer.add_span("bg", 0, 10)
-        tracer.count("c")
-        tracer.observe("h", 1.0)
-        assert tracer.spans() == []
-        assert tracer.metrics.counters == {}
-        assert tracer.metrics.histograms == {}
+    def test_disabled_records_nothing(self, traced):
+        with traced.force(False):
+            with traced.span("op", clock=Clock(), attr=1) as span:
+                span.add_phase("p", 10)
+                span.set(x=2)
+            traced.add_span("bg", 0, 10)
+            traced.count("c")
+            traced.observe("h", 1.0)
+        assert traced.spans() == []
+        assert traced.metrics.counters == {}
+        assert traced.metrics.histograms == {}
 
-    def test_disabled_span_is_shared_noop(self):
-        tracer = Tracer(enabled=False)
-        assert tracer.span("a") is _NOOP_SPAN
-        assert tracer.span("b") is tracer.span("c")
+    def test_disabled_span_is_shared_noop(self, traced):
+        with traced.force(False):
+            assert traced.span("a") is _NOOP_SPAN
+            assert traced.span("b") is traced.span("c")
         assert not _NOOP_SPAN.recording
 
     def test_global_tracer_disabled_by_default(self):
-        assert TRACE.enabled is False
+        assert runtime.SWITCHES["trace"] is TRACE
+        assert not TRACE.default and not TRACE.active()
 
-    def test_reset_keeps_enabled_flag(self, tracer):
-        with tracer.span("x", clock=Clock()):
+    def test_zero_keeps_enabled_flag(self, traced):
+        with traced.span("x", clock=Clock()):
             pass
-        tracer.count("c")
-        tracer.reset()
-        assert tracer.enabled
-        assert tracer.spans() == []
-        assert tracer.metrics.counters == {}
+        traced.count("c")
+        traced.zero()
+        assert traced.active()
+        assert traced.spans() == []
+        assert traced.metrics.counters == {}
+
+
+class TestRecords:
+    """A tracer's records travel like switch counters (runtime.counts/add)."""
+
+    def _record(self, traced, name):
+        clock = Clock()
+        traced.register_track(clock, f"node-{name}")
+        with traced.span(name, clock=clock) as span:
+            span.add_phase("phase", 5)
+            clock.advance(5)
+        traced.count("c", 2)
+        traced.observe("h", len(name))
+
+    def test_zero_swaps_the_records_out(self, traced):
+        self._record(traced, "a")
+        records = traced.counts()
+        traced.zero()
+        self._record(traced, "b")
+        assert [s.name for s in records["spans"]] == ["a", "phase"]
+        assert records["counters"] == {"c": 2}
+
+    def test_add_offsets_ids_and_tracks(self, traced):
+        import pickle
+
+        self._record(traced, "a")
+        first = traced.counts()
+        traced.zero()
+        self._record(traced, "bb")
+        second = pickle.loads(pickle.dumps(traced.counts()))
+        traced.zero()
+        traced.add(first)
+        traced.add(second)
+        spans = traced.spans()
+        assert [(s.name, s.span_id, s.parent_id) for s in spans] == [
+            ("a", 1, None), ("phase", 2, 1), ("bb", 3, None), ("phase", 4, 3),
+        ]
+        assert [traced.track_name(s.track) for s in spans] == [
+            "node-a", "node-a", "node-bb", "node-bb",
+        ]
+        assert spans[2].duration_ns == 5
+        assert traced.metrics.counters["c"].value == 4
+        assert traced.metrics.histograms["h"].values == [1.0, 2.0]
+        with traced.span("next", clock=Clock()) as span:
+            pass
+        assert span.span_id == 5 and span.track == 2
 
 
 class TestBreakdown:
-    def test_groups_by_top_level_name(self, tracer):
+    def test_groups_by_top_level_name(self, traced):
         clock = Clock()
         for _ in range(3):
-            with tracer.span("restore", clock=clock) as span:
+            with traced.span("restore", clock=clock) as span:
                 span.add_phase("attach", 40)
                 span.add_phase("fixup", 60)
                 clock.advance(100)
-        breakdown = Breakdown.from_tracer(tracer)
+        breakdown = Breakdown.from_tracer(traced)
         group = breakdown.group("restore")
         assert group.count == 3
         assert group.total_ns == 300
@@ -180,46 +221,46 @@ class TestBreakdown:
         assert group.attributed_ns == group.total_ns
         assert UNATTRIBUTED not in group.phases
 
-    def test_unattributed_residue(self, tracer):
+    def test_unattributed_residue(self, traced):
         clock = Clock()
-        with tracer.span("op", clock=clock) as span:
+        with traced.span("op", clock=clock) as span:
             span.add_phase("known", 30)
             clock.advance(100)
-        group = Breakdown.from_tracer(tracer).group("op")
+        group = Breakdown.from_tracer(traced).group("op")
         assert group.phases[UNATTRIBUTED].total_ns == pytest.approx(70)
 
-    def test_names_filter(self, tracer):
+    def test_names_filter(self, traced):
         clock = Clock()
-        with tracer.span("keep", clock=clock):
+        with traced.span("keep", clock=clock):
             clock.advance(10)
-        with tracer.span("drop", clock=clock):
+        with traced.span("drop", clock=clock):
             clock.advance(10)
-        breakdown = Breakdown.from_tracer(tracer, names=["keep"])
+        breakdown = Breakdown.from_tracer(traced, names=["keep"])
         assert set(breakdown.groups) == {"keep"}
         assert breakdown.total_ns == 10
 
-    def test_format_table_mentions_phases(self, tracer):
+    def test_format_table_mentions_phases(self, traced):
         clock = Clock()
-        with tracer.span("op", clock=clock) as span:
+        with traced.span("op", clock=clock) as span:
             span.add_phase("attach", 100)
             clock.advance(100)
-        table = Breakdown.from_tracer(tracer).format_table()
+        table = Breakdown.from_tracer(traced).format_table()
         assert "op" in table and "attach" in table and "100.0%" in table
 
 
 class TestExporters:
-    def _populate(self, tracer):
+    def _populate(self, traced):
         clock = Clock()
-        tracer.register_track(clock, "node0")
-        with tracer.span("cxlfork.restore", clock=clock, comm="f") as span:
+        traced.register_track(clock, "node0")
+        with traced.span("cxlfork.restore", clock=clock, comm="f") as span:
             span.add_phase("attach", 40)
             clock.advance(40)
-        tracer.count("kernel.forks", 2)
-        tracer.observe("lat", 5.0)
+        traced.count("kernel.forks", 2)
+        traced.observe("lat", 5.0)
 
-    def test_chrome_events_shape(self, tracer):
-        self._populate(tracer)
-        events = chrome_trace_events(tracer)
+    def test_chrome_events_shape(self, traced):
+        self._populate(traced)
+        events = chrome_trace_events()
         complete = [e for e in events if e["ph"] == "X"]
         assert len(complete) == 2
         parent = next(e for e in complete if e["name"] == "cxlfork.restore")
@@ -231,19 +272,19 @@ class TestExporters:
         counters = [e for e in events if e["ph"] == "C"]
         assert counters[0]["args"]["value"] == 2
 
-    def test_chrome_trace_file_is_valid_json(self, tracer, tmp_path):
-        self._populate(tracer)
+    def test_chrome_trace_file_is_valid_json(self, traced, tmp_path):
+        self._populate(traced)
         path = tmp_path / "trace.json"
-        count = write_chrome_trace(str(path), tracer)
+        count = write_chrome_trace(str(path))
         document = json.loads(path.read_text())
         assert document["displayTimeUnit"] == "ms"
         assert len(document["traceEvents"]) == count
         assert all("ph" in e for e in document["traceEvents"])
 
-    def test_jsonl_lines_parse(self, tracer, tmp_path):
-        self._populate(tracer)
+    def test_jsonl_lines_parse(self, traced, tmp_path):
+        self._populate(traced)
         path = tmp_path / "spans.jsonl"
-        count = write_jsonl(str(path), tracer)
+        count = write_jsonl(str(path))
         lines = [json.loads(line) for line in path.read_text().splitlines()]
         assert len(lines) == count
         kinds = {record["type"] for record in lines}
@@ -280,19 +321,32 @@ class TestInstrumentation:
         for phase, ns in result.metrics.breakdown.items():
             assert by_phase[phase] == pytest.approx(ns, abs=1)
 
-    def test_breakdown_sum_within_one_percent_of_total(self, traced, pod):
+    @pytest.mark.parametrize("prefetch", [False, True], ids=["moa", "mow"])
+    def test_breakdown_sum_within_one_percent_of_total(self, traced, pod, prefetch):
+        """The named phases tile the restore; dirty-page prefetch (MoW's,
+        off the critical path) is a top-level span, not a phase."""
         from repro.faas.workload import FunctionWorkload
         from repro.rfork.cxlfork import CxlFork
+        from repro.tiering.moa import MigrateOnAccess
+        from repro.tiering.mow import MigrateOnWrite
 
         workload = FunctionWorkload("json")
         instance = workload.build_instance(pod.source)
         workload.season(instance)
         ckpt, _ = CxlFork().checkpoint(instance.task)
-        result = CxlFork().restore(ckpt, pod.target)
+        policy = MigrateOnWrite() if prefetch else MigrateOnAccess()
+        result = CxlFork().restore(ckpt, pod.target, policy=policy)
+        assert bool(result.metrics.prefetched_pages) is prefetch
 
         group = Breakdown.from_tracer(traced).group("cxlfork.restore")
-        assert group.attributed_ns == pytest.approx(group.total_ns, rel=0.01)
+        named_ns = sum(
+            row.total_ns for row in group.phases.values() if row.phase != UNATTRIBUTED
+        )
+        assert named_ns == pytest.approx(group.total_ns, rel=0.01)
         assert group.total_ns == pytest.approx(result.metrics.latency_ns, rel=0.01)
+        assert [s.parent_id for s in traced.spans("cxlfork.prefetch_dirty")] == (
+            [None] if prefetch else []
+        )
 
     def test_kernel_counters_emitted(self, traced, pod):
         kernel = pod.source.kernel
@@ -318,7 +372,7 @@ class TestInstrumentation:
     def test_disabled_tracer_leaves_no_trace(self, pod):
         from repro.faas.workload import FunctionWorkload
 
-        assert not TRACE.enabled
+        assert not TRACE.active()
         workload = FunctionWorkload("float")
         instance = workload.build_instance(pod.source)
         workload.invoke(instance)

@@ -233,7 +233,7 @@ def entry_points(scratch: str) -> list:
         _repro("run", "fig7", "--quick", "--jobs", "2"),
         _repro("run", "fig7", "--check"),
         _repro("check"),
-        _repro("trace", "fig6", "-o", os.path.join(scratch, "trace.json"),
+        _repro("run", "fig6", "--trace", os.path.join(scratch, "trace.json"),
                "--jsonl", os.path.join(scratch, "trace.jsonl")),
         _repro("report"),
         _repro("bench", "--quick", "fig7"),
