@@ -114,8 +114,7 @@ def _cmd_report(full: bool, output: str | None) -> int:
 def main(argv=None) -> int:
     args_in = list(sys.argv[1:] if argv is None else argv)
     if args_in and args_in[0] == "bench":
-        # The bench harness owns its argument parsing (it is also runnable
-        # as benchmarks/harness.py from the repo root).
+        # The bench harness owns its argument parsing (see repro.bench).
         from repro.bench import main as bench_main
 
         return bench_main(args_in[1:])

@@ -14,9 +14,9 @@ committed baseline::
     python -m repro bench --quick fig7    # reduced scale; wall report-only
     python -m repro bench --update fig7   # rewrite the baseline
 
-Baselines live in ``benchmarks/baselines/BENCH_<exp>.json`` with the
-full-mode ``{wall_s, host_calls, sim_results_digest}`` at top level and the
-quick-mode triple under ``"quick"``.  Any experiment in the
+Baselines are the repo-root ``BENCH_<exp>.json`` files, with the full-mode
+``{wall_s, sim_results_digest, jobs}`` at top level and the quick-mode
+entry under ``"quick"``.  Any experiment in the
 :mod:`repro.experiments` registry can be benched, in the shapes its
 ``Config()`` / ``Config.quick()`` define.  Digest mismatches and the
 experiment's own ``gates()`` always fail; wall time fails only in full
@@ -33,7 +33,7 @@ import sys
 import time
 from hashlib import sha256
 from pathlib import Path
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from repro import experiments
 
@@ -73,29 +73,6 @@ def results_digest(result: Any) -> str:
 # -- measurement ---------------------------------------------------------------
 
 
-def _count_host_calls(fn: Callable[[], Any]) -> tuple[int, Any]:
-    """Run ``fn`` counting Python + C function calls via ``sys.setprofile``.
-
-    Any profiler that was already installed (coverage tooling, a nesting
-    harness run) is saved and restored afterwards rather than clobbered
-    to ``None``.
-    """
-    count = 0
-
-    def profiler(frame, event, arg):  # noqa: ARG001 - profile signature
-        nonlocal count
-        if event == "call" or event == "c_call":
-            count += 1
-
-    previous = sys.getprofile()
-    sys.setprofile(profiler)
-    try:
-        result = fn()
-    finally:
-        sys.setprofile(previous)
-    return count, result
-
-
 @dataclasses.dataclass
 class BenchResult:
     """One harness run of one experiment."""
@@ -103,7 +80,6 @@ class BenchResult:
     experiment: str
     mode: str  # "full" | "quick"
     wall_s: float
-    host_calls: Optional[int]
     sim_results_digest: str
     #: Worker processes used for the timed run (1 = serial reference path).
     jobs: int = 1
@@ -113,7 +89,6 @@ class BenchResult:
     def to_entry(self) -> dict:
         return {
             "wall_s": round(self.wall_s, 3),
-            "host_calls": self.host_calls,
             "sim_results_digest": self.sim_results_digest,
             "jobs": self.jobs,
         }
@@ -123,19 +98,17 @@ def run_bench(
     name: str,
     *,
     quick: bool = False,
-    count_calls: bool = True,
     jobs: int = 1,
+    rerun: bool = False,
 ) -> BenchResult:
     """Time one experiment, digest its simulated results, apply its gates.
 
-    The timed run is unprofiled (wall_s measures the real cost) and uses
-    ``jobs`` worker processes; in full mode a second, **always-serial** run
-    under a call-counting profiler records ``host_calls`` — a noise-free
-    proxy for host work that survives both machine changes and
-    worker-count changes.  When the timed run was parallel, that serial
-    recount doubles as a parallel-vs-serial digest cross-check: a
-    scheduling-order leak into simulated results is a hard failure, not
-    noise.
+    In full mode a second, serial run re-digests the results where that
+    re-run is itself the check: when the timed run was parallel
+    (``jobs > 1``), a scheduling-order leak into simulated results shows
+    as a parallel-vs-serial mismatch; with ``rerun`` (``--update``), a
+    baseline is written only from two runs that agree.  A mismatch is a
+    hard failure, not noise.
     """
     module = experiments.load(name)
     config = module.Config.quick() if quick else module.Config()
@@ -143,15 +116,8 @@ def run_bench(
     result = experiments.run(name, config, jobs=jobs)
     wall_s = time.perf_counter() - t0
     digest = results_digest(result)
-    host_calls: Optional[int] = None
-    if count_calls and not quick:
-        # host_calls is counted on a serial (jobs=1) run: profiling only
-        # sees the coordinating process, so a parallel count would be a
-        # meaningless fraction of the real work.
-        host_calls, recount = _count_host_calls(
-            lambda: experiments.run(name, config, jobs=1)
-        )
-        redigest = results_digest(recount)
+    if not quick and (jobs > 1 or rerun):
+        redigest = results_digest(experiments.run(name, config, jobs=1))
         if redigest != digest:
             flavor = (
                 "parallel vs serial simulated results diverged"
@@ -167,7 +133,6 @@ def run_bench(
         experiment=name,
         mode="quick" if quick else "full",
         wall_s=wall_s,
-        host_calls=host_calls,
         sim_results_digest=digest,
         jobs=jobs,
         gate_failures=module.gates(result),
@@ -178,59 +143,8 @@ def run_bench(
 
 
 def default_baseline_dir() -> Path:
-    """``benchmarks/baselines`` at the repo root (next to ``src/``)."""
-    return repo_root() / "benchmarks" / "baselines"
-
-
-def repo_root() -> Path:
+    """The repo root (next to ``src/``), where ``BENCH_*.json`` live."""
     return Path(__file__).resolve().parents[2]
-
-
-def sync_root_copies(
-    names: Optional[list] = None,
-    baseline_dir: Optional[Path] = None,
-    root: Optional[Path] = None,
-) -> list:
-    """Mirror ``benchmarks/baselines/BENCH_*.json`` to repo-root copies.
-
-    The root copies make the current performance envelope visible without
-    digging into ``benchmarks/`` (and diff noisily in review when they
-    change, which is the point).  Only baselines that exist are mirrored.
-    """
-    root = root if root is not None else repo_root()
-    written = []
-    for name in names if names is not None else sorted(experiments.REGISTRY):
-        source = baseline_path(name, baseline_dir)
-        if not source.exists():
-            continue
-        target = root / source.name
-        target.write_text(source.read_text())
-        written.append(target)
-    return written
-
-
-def check_root_copies(
-    names: Optional[list] = None,
-    baseline_dir: Optional[Path] = None,
-    root: Optional[Path] = None,
-) -> list:
-    """Return the baselines whose repo-root ``BENCH_*.json`` copy drifted.
-
-    A baseline counts as drifted when its root copy is missing or its
-    bytes differ from ``benchmarks/baselines/``.  CI fails on a non-empty
-    result (the drift guard), so an ``--update`` that forgets
-    :func:`sync_root_copies` cannot land silently.
-    """
-    root = root if root is not None else repo_root()
-    drifted = []
-    for name in names if names is not None else sorted(experiments.REGISTRY):
-        source = baseline_path(name, baseline_dir)
-        if not source.exists():
-            continue
-        copy = root / source.name
-        if not copy.exists() or copy.read_text() != source.read_text():
-            drifted.append(name)
-    return drifted
 
 
 def baseline_path(name: str, baseline_dir: Optional[Path] = None) -> Path:
@@ -252,8 +166,8 @@ def write_baseline(
     quick: BenchResult,
     baseline_dir: Optional[Path] = None,
 ) -> Path:
-    """Write ``BENCH_<name>.json``: full-mode triple at top level (the
-    ISSUE-specified shape) plus the quick-mode triple for CI."""
+    """Write ``BENCH_<name>.json``: the full-mode entry at top level plus
+    the quick-mode entry for CI."""
     path = baseline_path(name, baseline_dir)
     path.parent.mkdir(parents=True, exist_ok=True)
     payload = {"experiment": name, **full.to_entry(), "quick": quick.to_entry()}
@@ -279,7 +193,7 @@ class Comparison:
             return self.baseline.get("quick")
         return {
             k: self.baseline.get(k)
-            for k in ("wall_s", "host_calls", "sim_results_digest", "jobs")
+            for k in ("wall_s", "sim_results_digest", "jobs")
         }
 
     @property
@@ -315,8 +229,6 @@ class Comparison:
         lines = [f"{r.experiment} [{r.mode}]: wall {r.wall_s:.2f}s"]
         if r.jobs != 1:
             lines[0] += f" (jobs={r.jobs})"
-        if r.host_calls is not None:
-            lines[0] += f", {r.host_calls:,} host calls"
         lines[0] += f", digest {r.sim_results_digest[:12]}"
         lines.extend(f"  gate: FAIL — {message}" for message in r.gate_failures)
         if entry is None:
@@ -337,15 +249,6 @@ class Comparison:
             lines.append(
                 f"  wall vs baseline {base_wall:.2f}s: {ratio:.2f}x "
                 f"[{verdict}]{gate}{jobs_note}"
-            )
-        base_calls = entry.get("host_calls")
-        if base_calls is not None and r.host_calls is not None:
-            calls_ratio = (
-                r.host_calls / base_calls if base_calls else float("inf")
-            )
-            lines.append(
-                f"  host calls vs baseline {base_calls:,}: "
-                f"{calls_ratio:.2f}x (report-only)"
             )
         if self.digest_ok:
             lines.append("  digest: match")
@@ -374,7 +277,7 @@ def compare_to_baseline(
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    """Entry point for ``python -m repro bench`` / ``benchmarks/harness.py``."""
+    """Entry point for ``python -m repro bench``."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -404,27 +307,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         f"(default {DEFAULT_TOLERANCE})",
     )
     parser.add_argument(
-        "--baseline-dir",
-        default=None,
-        help="override the baseline directory (default: benchmarks/baselines)",
-    )
-    parser.add_argument(
-        "--no-calls",
-        action="store_true",
-        help="skip the second, call-counting run in full mode",
-    )
-    parser.add_argument(
         "--jobs",
         type=int,
         default=1,
         help="worker processes for the timed run (0 = one per CPU); "
         "results are bit-identical to --jobs 1 by construction",
-    )
-    parser.add_argument(
-        "--check-sync",
-        action="store_true",
-        help="only check that repo-root BENCH_*.json copies match "
-        "benchmarks/baselines/ (CI drift guard); runs nothing",
     )
     parser.add_argument(
         "--plan-off",
@@ -439,10 +326,9 @@ def main(argv: Optional[list[str]] = None) -> int:
 
         RESTORE_PLAN.disable()
 
-    baseline_dir = Path(args.baseline_dir) if args.baseline_dir else None
     names = args.experiments or [
         name for name in sorted(experiments.REGISTRY)
-        if baseline_path(name, baseline_dir).exists()
+        if baseline_path(name).exists()
     ]
     unknown = [n for n in names if n not in experiments.REGISTRY]
     if unknown:
@@ -460,45 +346,24 @@ def main(argv: Optional[list[str]] = None) -> int:
 
         jobs = default_jobs()
 
-    if args.check_sync:
-        drifted = check_root_copies(names, baseline_dir)
-        if drifted:
-            print(
-                f"repo-root BENCH copies drifted from benchmarks/baselines/: "
-                f"{drifted} — rerun `python -m repro bench --update` or "
-                "repro.bench.sync_root_copies()",
-                file=sys.stderr,
-            )
-            return 1
-        print(f"repo-root BENCH copies in sync ({len(names)} checked)")
-        return 0
-
     if args.update:
         for name in names:
-            full = run_bench(
-                name, quick=False, count_calls=not args.no_calls, jobs=jobs
-            )
+            full = run_bench(name, quick=False, jobs=jobs, rerun=True)
             quick = run_bench(name, quick=True, jobs=jobs)
             failures = full.gate_failures + quick.gate_failures
             if failures:
                 print(f"{name}: not updated, gates failed: {failures}",
                       file=sys.stderr)
                 return 1
-            path = write_baseline(name, full, quick, baseline_dir)
+            path = write_baseline(name, full, quick)
             print(f"{name}: wrote {path} (wall {full.wall_s:.2f}s, "
                   f"jobs {full.jobs}, digest {full.sim_results_digest[:12]})")
-        for copy in sync_root_copies(names, baseline_dir):
-            print(f"synced repo-root copy {copy.name}")
         return 0
 
     failed = False
     for name in names:
-        result = run_bench(
-            name, quick=args.quick, count_calls=not args.no_calls, jobs=jobs
-        )
-        comparison = compare_to_baseline(
-            result, tolerance=args.tolerance, baseline_dir=baseline_dir
-        )
+        result = run_bench(name, quick=args.quick, jobs=jobs)
+        comparison = compare_to_baseline(result, tolerance=args.tolerance)
         print(comparison.describe())
         if not comparison.ok:
             failed = True
@@ -508,14 +373,11 @@ def main(argv: Optional[list[str]] = None) -> int:
 __all__ = [
     "BenchResult",
     "Comparison",
-    "check_root_copies",
     "compare_to_baseline",
     "default_baseline_dir",
     "load_baseline",
     "main",
-    "repo_root",
     "results_digest",
     "run_bench",
-    "sync_root_copies",
     "write_baseline",
 ]

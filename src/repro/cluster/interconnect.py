@@ -19,7 +19,6 @@ A→B and B→A traffic independently).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.telemetry import TRACE
 
@@ -110,10 +109,6 @@ class InterPodLink:
                 TRACE.observe("cluster.link_queue_ns", queued)
         return done - int(now)
 
-    def rtt_ns(self) -> int:
-        """Control-message round trip (negligible payload, no queueing)."""
-        return int(2 * (self.spec.latency_ns + self.spec.setup_ns))
-
 
 class Interconnect:
     """Full mesh of inter-pod links, created lazily per ordered pair."""
@@ -134,13 +129,6 @@ class Interconnect:
 
     def transfer_ns(self, src: str, dst: str, nbytes: int, *, now: int) -> int:
         return self.link(src, dst).transfer_ns(nbytes, now=now)
-
-    def control_rtt_ns(self) -> int:
-        """Router <-> pod control round trip (no per-pair queueing)."""
-        return int(2 * self.spec.latency_ns)
-
-    def links(self) -> list:
-        return [self._links[k] for k in sorted(self._links)]
 
     @property
     def total_bytes(self) -> int:

@@ -90,10 +90,6 @@ class PodMembership:
         self._pods[pod.name] = pod
         return pod
 
-    def leave(self, name: str) -> PodHandle:
-        """Graceful departure: the pod stops being a routing target."""
-        return self._pods.pop(name)
-
     # -- views ------------------------------------------------------------------
 
     def pods(self) -> list:
@@ -106,9 +102,6 @@ class PodMembership:
     def live_pods(self) -> list:
         """Pods the router may target: the ones not failed."""
         return [p for p in self._pods.values() if not p.failed]
-
-    def __len__(self) -> int:
-        return len(self._pods)
 
 
 __all__ = ["PodHandle", "PodMembership"]

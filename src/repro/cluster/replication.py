@@ -445,16 +445,6 @@ class DeltaStats:
     def bytes_saved(self) -> int:
         return self.full_page_bytes - self.wire_page_bytes - self.hash_bytes
 
-    def snapshot(self) -> dict:
-        return {
-            "delta_ships": self.delta_ships,
-            "chunks_deduped": self.chunks_deduped,
-            "full_page_bytes": self.full_page_bytes,
-            "wire_page_bytes": self.wire_page_bytes,
-            "hash_bytes": self.hash_bytes,
-            "bytes_saved": self.bytes_saved,
-        }
-
 
 @dataclass
 class _InFlight:
@@ -660,9 +650,6 @@ class Replicator:
 
         self.queue.schedule_after(delay, land, label=f"replica-land:{function}")
         return done_at
-
-    def inflight(self) -> int:
-        return len(self._inflight)
 
 
 __all__ = [

@@ -41,12 +41,19 @@ from repro.cluster.membership import PodHandle, PodMembership
 from repro.cluster.replication import Replicator
 from repro.exceptions import FederationExhaustedError
 from repro.faas.traces import Request
+from repro.porter.autoscaler import CONTROLLER_TICK_NS
 from repro.porter.metrics import LatencyRecorder
 from repro.sim.events import EventQueue
 from repro.sim.units import SEC
 from repro.telemetry import TRACE
 
 _REPLICATION_POLICIES = ("none", "pull", "push")
+
+#: Routing weights (score units are arbitrary; only order matters).
+WARM_WEIGHT = 100.0
+LOCALITY_WEIGHT = 50.0
+LOAD_WEIGHT = 20.0
+CAPACITY_WEIGHT = 5.0
 
 
 @dataclass
@@ -62,11 +69,6 @@ class RouterConfig:
     #: Pods (beyond the home pod) that eagerly receive each image under
     #: the push policy; 0 means push everywhere.
     push_fanout: int = 0
-    #: Routing weights (score units are arbitrary; only order matters).
-    warm_weight: float = 100.0
-    locality_weight: float = 50.0
-    load_weight: float = 20.0
-    capacity_weight: float = 5.0
     #: RAS steering: a pod's poison rate folds into its pressure, scaled
     #: so 2% of the device poisoned reads as a fully loaded pod (the
     #: two-level scheduler then overflows away from the decaying device).
@@ -203,12 +205,12 @@ class ClusterRouter:
         # mechanism that splits offered load across devices.
         headroom = max(0.0, 1.0 - load)
         if porter.warm_idle_count(function) > 0:
-            score += cfg.warm_weight * headroom
+            score += WARM_WEIGHT * headroom
         if porter.store.contains(cfg.user, function):
-            score += cfg.locality_weight * headroom
-        score -= cfg.load_weight * load
+            score += LOCALITY_WEIGHT * headroom
+        score -= LOAD_WEIGHT * load
         if slots > 0:
-            score += cfg.capacity_weight * (
+            score += CAPACITY_WEIGHT * (
                 pod.free_cxl_bytes() / max(pod.fabric.device.capacity_bytes, 1)
             )
         return score
@@ -342,9 +344,8 @@ class ClusterRouter:
                 request.when, lambda r=request: self.submit(r), label="arrival"
             )
         for pod in self.membership.pods():
-            porter = pod.porter
             self.queue.schedule_after(
-                porter.config.controller_tick_ns, porter._controller_tick
+                CONTROLLER_TICK_NS, pod.porter._controller_tick
             )
         horizon = until
         if horizon is None:

@@ -18,13 +18,17 @@ import numpy as np
 class OutOfMemoryError(RuntimeError):
     """Raised when a pool cannot satisfy an allocation."""
 
-    def __init__(self, pool: "FrameAllocator", requested: int) -> None:
+    def __init__(self, pool: str, requested: int, free: int, capacity: int) -> None:
         super().__init__(
-            f"pool {pool.name!r}: requested {requested} frames, "
-            f"only {pool.free_frames} free of {pool.capacity_frames}"
+            f"pool {pool!r}: requested {requested} frames, "
+            f"only {free} free of {capacity}"
         )
         self.pool = pool
-        self.requested = requested
+        self._args = (pool, requested, free, capacity)
+
+    def __reduce__(self) -> tuple:
+        # Rebuilt from its own arguments, so it crosses a worker boundary.
+        return (type(self), self._args)
 
 
 @dataclass
@@ -73,7 +77,7 @@ class FrameAllocator:
     """Bump-plus-free-list allocator over a frame range, with refcounts.
 
     Allocation prefers the free list (reuse) and falls back to bumping the
-    high-water mark.  ``alloc_many``/``free_many`` are vectorized since the
+    high-water mark.  ``alloc_many``/``put`` are vectorized since the
     simulator routinely moves hundreds of thousands of frames at once.
     """
 
@@ -172,16 +176,14 @@ class FrameAllocator:
 
     # -- allocation ----------------------------------------------------------
 
-    def alloc(self) -> int:
-        """Allocate one frame (refcount 1)."""
-        return int(self.alloc_many(1)[0])
-
     def alloc_many(self, count: int) -> np.ndarray:
         """Allocate ``count`` frames; returns their global frame numbers."""
         if count < 0:
             raise ValueError(f"negative allocation: {count}")
         if self.quarantined:
-            raise OutOfMemoryError(self, count)
+            raise OutOfMemoryError(
+                self.name, count, self.free_frames, self.capacity_frames
+            )
         if count > self.free_frames:
             handler = self.pressure_handler
             if handler is not None:
@@ -191,7 +193,9 @@ class FrameAllocator:
                 finally:
                     self.pressure_handler = handler
             if count > self.free_frames:
-                raise OutOfMemoryError(self, count)
+                raise OutOfMemoryError(
+                    self.name, count, self.free_frames, self.capacity_frames
+                )
         reuse = min(count, len(self._free))
         frames = np.empty(count, dtype=np.int64)
         if reuse:
@@ -259,10 +263,6 @@ class FrameAllocator:
                 self._free.extend(int(i) for i in dead)
         return int(dead.size)
 
-    def free_many(self, frames: "np.ndarray | Iterable[int]") -> int:
-        """Alias of :meth:`put` for the common single-owner case."""
-        return self.put(frames)
-
     def _indices(self, frames) -> np.ndarray:
         arr = np.atleast_1d(np.asarray(frames, dtype=np.int64))
         if arr.size == 0:
@@ -293,10 +293,6 @@ class FrameAllocator:
     @property
     def offlined_frames(self) -> int:
         return len(self._offlined)
-
-    @property
-    def poisoned_frames(self) -> int:
-        return len(self._poisoned)
 
     @property
     def poison_rate(self) -> float:

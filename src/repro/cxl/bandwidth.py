@@ -72,11 +72,6 @@ class BandwidthTracker:
             self._offered_total -= old
             self._mutated()
 
-    def clear(self) -> None:
-        self._streams.clear()
-        self._offered_total = 0.0
-        self._mutations = 0
-
     @property
     def offered_gbps(self) -> float:
         if not self._streams:

@@ -87,19 +87,12 @@ class CxlFabric:
     # -- named pinned regions ---------------------------------------------------
 
     def pin_region(self, name: str, nframes: int) -> np.ndarray:
-        """Allocate a named region that survives until explicitly unpinned."""
+        """Allocate a named region that lives as long as the fabric."""
         if name in self._regions:
             raise ValueError(f"region {name!r} already pinned")
         frames = self.alloc_frames(nframes)
         self._regions[name] = frames
         return frames
-
-    def region(self, name: str) -> np.ndarray:
-        return self._regions[name]
-
-    def unpin_region(self, name: str) -> None:
-        frames = self._regions.pop(name)
-        self.put_frames(frames)
 
     # -- accounting ---------------------------------------------------------------
 

@@ -64,9 +64,6 @@ class DedupStats:
     #: Replication: chunks the destination already held (not re-shipped).
     wire_chunks_deduped: int = 0
 
-    def snapshot(self) -> dict:
-        return dict(self.__dict__)
-
 
 @dataclass
 class _Entry:
@@ -241,10 +238,6 @@ class ChunkIndex:
 
     def sharer_count(self, frame: int) -> int:
         return self._sharers.get(int(frame), 0)
-
-    def registered_frames(self) -> np.ndarray:
-        return np.fromiter(self._code_by_frame.keys(), dtype=np.int64,
-                           count=len(self._code_by_frame))
 
     def wrong_frame_for(self, code: int) -> Optional[int]:
         """A deterministic *different* chunk frame (the ``alias-wrong-chunk``

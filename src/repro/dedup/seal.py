@@ -221,10 +221,6 @@ class ChunkInterner:
         self.shared_pages += 1
         return hit
 
-    @property
-    def adopted_frames(self) -> np.ndarray:
-        return np.asarray(self._adopted, dtype=np.int64)
-
     def finish(self) -> None:
         TRACE.count("dedup.shared_pages", self.shared_pages)
         TRACE.count("dedup.new_chunks", self.new_pages)

@@ -14,7 +14,7 @@ from repro.os.fs.cxlfs import CxlFileSystem
 from repro.os.node import ComputeNode
 from repro.rfork.base import RestoreResult
 from repro.rfork.registry import get_mechanism
-from repro.sim.units import GIB, MIB, MS, PAGE_SIZE
+from repro.sim.units import GIB, MIB, PAGE_SIZE
 
 
 @dataclass
@@ -96,10 +96,6 @@ class ColdStartMeasurement:
     @property
     def total_ns(self) -> float:
         return self.restore_ns + self.fault_ns + self.exec_ns
-
-    @property
-    def total_ms(self) -> float:
-        return self.total_ns / MS
 
     @property
     def local_mb(self) -> float:

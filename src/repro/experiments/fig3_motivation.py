@@ -40,10 +40,6 @@ class Fig3Result:
         return self.criu_restore_ms / self.localfork_total_ms
 
     @property
-    def criu_total_vs_localfork(self) -> float:
-        return self.criu_total_ms / self.localfork_total_ms
-
-    @property
     def mitosis_total_vs_localfork(self) -> float:
         """Paper: ~2.6x."""
         return self.mitosis_total_ms / self.localfork_total_ms

@@ -45,11 +45,6 @@ class Container:
         if self.cgroup is None:
             self.cgroup = Cgroup(name=f"ctr{self.container_id}")
 
-    @property
-    def overhead_bytes(self) -> int:
-        """Local memory the container itself holds (beyond its processes)."""
-        return GHOST_CONTAINER_BYTES
-
     def destroy(self) -> None:
         self.destroyed = True
 
@@ -100,16 +95,6 @@ class ContainerFactory:
             if charge:
                 self.node.clock.advance(CONTAINER_CREATE_NS)
         return container
-
-    def create_ghost(self, function_name: str, *, charge: bool = True) -> GhostContainer:
-        """A ghost container (created off the critical path, usually)."""
-        with TRACE.span(
-            "faas.ghost_create", clock=self.node.clock, function=function_name
-        ):
-            ghost = GhostContainer(self.node, function_name)
-            if charge:
-                self.node.clock.advance(CONTAINER_CREATE_NS)
-        return ghost
 
 
 __all__ = [

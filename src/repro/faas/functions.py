@@ -75,17 +75,6 @@ class FunctionSpec:
     def compute_ns(self) -> float:
         return self.compute_ms * MS
 
-    def touched_bytes_per_invocation(self) -> int:
-        """Approximate per-invocation working set in bytes."""
-        return int(
-            self.footprint_bytes
-            * (
-                self.init_frac * self.init_touch_frac
-                + self.ro_frac * self.ro_touch_frac
-                + self.rw_frac * self.rw_touch_frac
-            )
-        )
-
 
 def _spec(name, desc, mb, init, rw, file_init, init_ms, comp_ms, reacc,
           t_init, t_ro, t_rw, libs, fds) -> FunctionSpec:

@@ -75,18 +75,6 @@ class MemoryPlan:
     spec: FunctionSpec
     segments: tuple
 
-    def total_pages(self) -> int:
-        return sum(seg.npages for seg in self.segments)
-
-    def by_role(self, role: SegmentRole) -> list:
-        return [seg for seg in self.segments if seg.role is role]
-
-    def pages_by_role(self, role: SegmentRole) -> int:
-        return sum(seg.npages for seg in self.by_role(role))
-
-    def file_pages(self) -> int:
-        return sum(s.npages for s in self.segments if s.kind is SegmentKind.FILE)
-
 
 def build_plan(spec: FunctionSpec) -> MemoryPlan:
     """Construct the (unplaced) segment plan for a function."""

@@ -12,10 +12,9 @@ Fault model (see docs/RESILIENCE.md):
 * **Node crash** — :meth:`FaultInjector.crash_at` arms a clock alarm that
   fires `node.fail()` at an exact virtual nanosecond, including in the
   middle of a synchronous checkpoint or restore.
-* **Memory poison** — :meth:`FaultInjector.poison_frame` /
-  :meth:`FaultInjector.poison_range` flip deterministic frames to a
-  POISONED state in a frame pool, silently (no exception at injection
-  time), including mid-checkpoint/mid-replication via
+* **Memory poison** — :meth:`FaultInjector.poison_range` flips
+  deterministic frames to a POISONED state in a frame pool, silently (no
+  exception at injection time), including mid-checkpoint/mid-replication via
   :meth:`FaultInjector.poison_at` clock alarms.  Detection, containment
   and repair live in :mod:`repro.ras`.
 

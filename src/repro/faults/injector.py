@@ -35,8 +35,7 @@ class InjectedCrash(NodeFailedError):
 class FaultInjector:
     """Schedules deterministic faults against a pod.
 
-    One injector per experiment; it owns the ``faults`` RNG stream and
-    tracks every alarm it armed so :meth:`cancel_all` disarms them.
+    One injector per experiment; it owns the ``faults`` RNG stream.
     """
 
     def __init__(
@@ -47,7 +46,6 @@ class FaultInjector:
     ) -> None:
         factory = rng if rng is not None else SeedSequenceFactory(seed)
         self.rng = factory.stream("faults")
-        self._alarms: list[ClockAlarm] = []
 
     # -- crashes ------------------------------------------------------------
 
@@ -91,15 +89,9 @@ class FaultInjector:
                     "(injected)"
                 )
 
-        alarm = node.clock.at(deadline_ns, action)
-        self._alarms.append(alarm)
-        return alarm
+        return node.clock.at(deadline_ns, action)
 
     # -- memory corruption (RAS) ----------------------------------------------
-
-    def poison_frame(self, pool: FrameAllocator, frame: int) -> int:
-        """Flip one frame to POISONED; returns 1 if newly poisoned."""
-        return self.poison_range(pool, [frame])
 
     def poison_range(self, pool: FrameAllocator, frames) -> int:
         """Poison a set of frames; returns how many were newly flagged.
@@ -168,17 +160,7 @@ class FaultInjector:
             else:
                 self.poison_allocated(pool, count)
 
-        alarm = clock.at(deadline_ns, action)
-        self._alarms.append(alarm)
-        return alarm
-
-    # -- lifecycle -------------------------------------------------------------
-
-    def cancel_all(self) -> None:
-        """Disarm every pending crash and poison alarm."""
-        for alarm in self._alarms:
-            alarm.cancel()
-        self._alarms.clear()
+        return clock.at(deadline_ns, action)
 
 
 __all__ = ["FaultInjector", "InjectedCrash"]

@@ -26,6 +26,10 @@ class RetryExhaustedError(RuntimeError):
         self.attempts = attempts
         self.last = last
 
+    def __reduce__(self) -> tuple:
+        # Rebuilt from its own arguments, so it crosses a worker boundary.
+        return (type(self), (self.attempts, self.last))
+
 
 @dataclass(frozen=True)
 class RetryPolicy:

@@ -67,10 +67,6 @@ class CxlFileSystem:
     def listdir(self, prefix: str = "") -> list:
         return sorted(p for p in self._files if p.startswith(prefix))
 
-    @property
-    def used_bytes(self) -> int:
-        return sum(f.npages for f in self._files.values()) * 4096
-
     def __len__(self) -> int:
         return len(self._files)
 

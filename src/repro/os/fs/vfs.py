@@ -77,14 +77,5 @@ class SharedRootFs:
             return self._inodes[path]
         return self.create(path, size_bytes=size_bytes)
 
-    def unlink(self, path: str) -> None:
-        path = self._normalize(path)
-        if path == "/":
-            raise ValueError("cannot unlink the root")
-        del self._inodes[path]
-
-    def __len__(self) -> int:
-        return len(self._inodes)
-
 
 __all__ = ["Inode", "SharedRootFs"]

@@ -257,7 +257,10 @@ class Kernel:
         if task.cgroup is not None and not task.cgroup.charge(count * PAGE_SIZE):
             from repro.cxl.allocator import OutOfMemoryError
 
-            raise OutOfMemoryError(self.node.dram, count)
+            dram = self.node.dram
+            raise OutOfMemoryError(
+                dram.name, count, dram.free_frames, dram.capacity_frames
+            )
         frames = self.node.dram.alloc_many(count)
         task.mm.owned_local_pages += count
         return frames

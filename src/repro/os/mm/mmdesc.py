@@ -7,14 +7,13 @@ pages — Fig. 7b's "local memory consumption").
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.os.mm.pagetable import PageTable
-from repro.os.mm.pte import PTE_FRAME_SHIFT, PteFlags, ptes_flag_mask
+from repro.os.mm.pte import PteFlags, ptes_flag_mask
 from repro.os.mm.vma import Vma, VmaKind, VmaPerms, VmaTree
-from repro.sim.units import PAGE_SIZE
 
 #: Where the bump allocator for new mappings starts (arbitrary but nonzero,
 #: so vpn 0 stays invalid like a real NULL page).
@@ -114,33 +113,7 @@ class MemoryDescriptor:
     def cxl_mapped_pages(self) -> int:
         return self.rss_split()[1]
 
-    def local_footprint_pages(self) -> int:
-        """Local data pages plus local page-table structure pages."""
-        return self.local_rss_pages() + self.pagetable.local_table_pages()
-
-    def local_footprint_bytes(self) -> int:
-        return self.local_footprint_pages() * PAGE_SIZE
-
     # -- teardown helpers ----------------------------------------------------------
-
-    def collect_frames(self, predicate: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        """All present frames selected by ``predicate`` over frame arrays.
-
-        ``predicate`` receives an int64 array of frame numbers and returns a
-        boolean mask; used at exit to return local frames to the node pool
-        and drop CXL sharer references.
-        """
-        chunks: list[np.ndarray] = []
-        for _, leaf in self.pagetable.leaves():
-            present = ptes_flag_mask(leaf.ptes, PteFlags.PRESENT)
-            frames = (leaf.ptes[present] >> np.int64(PTE_FRAME_SHIFT)).astype(np.int64)
-            if frames.size:
-                keep = predicate(frames)
-                if np.any(keep):
-                    chunks.append(frames[keep])
-        if not chunks:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(chunks)
 
 
 __all__ = ["MemoryDescriptor", "MMAP_BASE_VPN"]

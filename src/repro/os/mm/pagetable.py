@@ -91,9 +91,6 @@ class PageTable:
 
     # -- structure ------------------------------------------------------------
 
-    def __len__(self) -> int:
-        return len(self._leaves)
-
     @property
     def leaf_count(self) -> int:
         return len(self._leaves)

@@ -41,9 +41,6 @@ class MemoryReclaimer:
         """Add an application-level evictor (consulted before page cache)."""
         self._victim_sources.append(source)
 
-    def unregister_victim_source(self, source: VictimSource) -> None:
-        self._victim_sources.remove(source)
-
     def reclaim(self, shortfall_frames: int) -> bool:
         """Try to free at least ``shortfall_frames``; True if any freed."""
         if shortfall_frames <= 0:

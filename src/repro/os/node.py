@@ -71,11 +71,6 @@ class ComputeNode:
         # Name this node's virtual clock in exported traces.
         TRACE.register_track(self.clock, self.name)
 
-    @property
-    def poison_rate(self) -> float:
-        """Fraction of this node's DRAM lost or losing to poison."""
-        return self.dram.poison_rate
-
     # -- failure injection --------------------------------------------------------
 
     def fail(self) -> int:

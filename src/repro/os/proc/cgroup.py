@@ -46,10 +46,5 @@ class Cgroup:
         if self.parent is not None:
             self.parent.uncharge(nbytes)
 
-    def path(self) -> str:
-        if self.parent is None:
-            return f"/{self.name}"
-        return f"{self.parent.path()}/{self.name}"
-
 
 __all__ = ["Cgroup"]

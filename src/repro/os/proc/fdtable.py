@@ -8,7 +8,7 @@ as-is — CXLfork serializes paths/flags/offsets and re-opens on restore.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 
@@ -31,10 +31,6 @@ class OpenFile:
     #: Simulated inode the descriptor currently resolves to (node-local;
     #: never checkpointed — re-resolved on restore).
     inode: Optional[int] = None
-
-    def portable(self) -> "OpenFile":
-        """The checkpointable view: everything except node-local linkage."""
-        return replace(self, inode=None)
 
 
 class FdTable:
@@ -73,12 +69,6 @@ class FdTable:
             raise ValueError(f"fd {entry.fd} already open")
         self._files[entry.fd] = entry
         self._next_fd = max(self._next_fd, entry.fd + 1)
-
-    def get(self, fd: int) -> OpenFile:
-        return self._files[fd]
-
-    def close(self, fd: int) -> OpenFile:
-        return self._files.pop(fd)
 
     def entries(self) -> list[OpenFile]:
         return list(self)

@@ -49,11 +49,6 @@ class MountNamespace:
     def mount(self, mountpoint: str, source: str) -> None:
         self.mounts[mountpoint] = source
 
-    def umount(self, mountpoint: str) -> None:
-        if mountpoint == "/":
-            raise ValueError("cannot unmount the root")
-        del self.mounts[mountpoint]
-
     def snapshot(self) -> dict:
         return {"name": self.name, "mounts": dict(self.mounts)}
 

@@ -55,6 +55,19 @@ _MEMORY_FACTOR = {
     "cxlfork": 0.2,
 }
 
+#: SLO = measured (local) warm latency x this factor.  Tight enough that
+#: MoW's CXL read penalty on cache-exceeding functions counts as "close to
+#: the SLO" and triggers hybrid promotion (§5).
+SLO_FACTOR = 1.4
+#: Cap on the exponential memory-retry back-off.
+MEMORY_RETRY_CAP_NS = int(160 * MS)
+#: Relative jitter band on memory-retry delays (deterministic, from sim.rng).
+MEMORY_RETRY_JITTER = 0.25
+#: Controller tick (SLO evaluation + periodic A-bit refresh).
+CONTROLLER_TICK_NS = int(1 * SEC)
+#: Refresh checkpointed A bits every this many ticks.
+HOT_REFRESH_TICKS = 5
+
 
 @dataclass
 class PorterConfig:
@@ -66,34 +79,21 @@ class PorterConfig:
     highmem_threshold: float = 0.90
     #: Pin CXLfork to migrate-on-write (the Fig. 10 "CXLfork-MoW" arm).
     static_mow: bool = False
-    #: SLO = measured (local) warm latency x this factor.  Tight enough
-    #: that MoW's CXL read penalty on cache-exceeding functions counts as
-    #: "close to the SLO" and triggers hybrid promotion (§5).
-    slo_factor: float = 1.4
     #: Checkpoint after this many invocations (§5: the 16th).
     checkpoint_after: int = 16
     #: Clear A/D bits after this many invocations (§5: the first).
     clear_ad_after: int = 1
     keepalive: KeepAlivePolicy = field(default_factory=KeepAlivePolicy)
-    #: Concurrent executions per node (None = the node's CPU count).
-    cpu_slots_per_node: Optional[int] = None
     #: Base back-off before retrying a start that could not get memory.
-    #: Retries grow exponentially from here (capped, jittered) — see
+    #: Retries grow exponentially from here (capped at
+    #: :data:`MEMORY_RETRY_CAP_NS`, jittered) — see
     #: :class:`repro.faults.recovery.RetryPolicy`.
     memory_retry_ns: int = int(10 * MS)
-    #: Cap on the exponential memory-retry back-off.
-    memory_retry_cap_ns: int = int(160 * MS)
     #: Give up on a request after this many memory retries (recorded as
     #: a ``failed`` start kind so trace replay still terminates).
     max_memory_retries: int = 8
-    #: Relative jitter band on retry delays (deterministic, from sim.rng).
-    memory_retry_jitter: float = 0.25
     #: Seed for the deployment's private RNG streams (retry jitter).
     seed: int = 0
-    #: Controller tick (SLO evaluation + periodic A-bit refresh).
-    controller_tick_ns: int = int(1 * SEC)
-    #: Refresh checkpointed A bits every this many ticks.
-    hot_refresh_ticks: int = 5
     #: Average CXL traffic one *running* instance offers the shared device
     #: (GB/s).  When nonzero and the fabric has a
     #: :class:`~repro.cxl.bandwidth.BandwidthTracker` installed, the
@@ -175,11 +175,7 @@ class CxlPorter:
         self._slots: dict[str, int] = {}
         for node in self.nodes:
             node._porter_running = 0
-            self._slots[node.name] = (
-                self.config.cpu_slots_per_node
-                if self.config.cpu_slots_per_node is not None
-                else node.spec.cpu_count
-            )
+            self._slots[node.name] = node.spec.cpu_count
         builder_workloads: dict[str, FunctionWorkload] = {}
         self._builder_workloads = builder_workloads
         if self.config.mechanism == "cxlfork":
@@ -197,9 +193,9 @@ class CxlPorter:
         self._retries = 0
         self.retry_policy = RetryPolicy(
             base_ns=self.config.memory_retry_ns,
-            cap_ns=self.config.memory_retry_cap_ns,
+            cap_ns=MEMORY_RETRY_CAP_NS,
             max_attempts=self.config.max_memory_retries,
-            jitter=self.config.memory_retry_jitter,
+            jitter=MEMORY_RETRY_JITTER,
         )
         self._retry_rng = SeedSequenceFactory(self.config.seed).stream(
             "porter-retry"
@@ -255,7 +251,7 @@ class CxlPorter:
         for _ in range(self.config.checkpoint_after):
             result = workload.invoke(instance)
         state.warm_ns = result.wall_ns
-        state.slo_ns = result.wall_ns * self.config.slo_factor
+        state.slo_ns = result.wall_ns * SLO_FACTOR
         checkpoint, _ = self.mechanism.checkpoint(instance.task)
         entry = self.store.put(
             self.config.user,
@@ -736,9 +732,9 @@ class CxlPorter:
 
     def _controller_tick(self) -> None:
         self._tick_count += 1
-        if self._tick_count % self.config.hot_refresh_ticks == 0:
+        if self._tick_count % HOT_REFRESH_TICKS == 0:
             self.controller.refresh_hot_sets(self.store.entries())
-        self.queue.schedule_after(self.config.controller_tick_ns, self._controller_tick)
+        self.queue.schedule_after(CONTROLLER_TICK_NS, self._controller_tick)
 
     def run(self, requests: list, *, until: Optional[int] = None) -> LatencyRecorder:
         """Replay a trace to completion; returns the latency recorder."""
@@ -746,7 +742,7 @@ class CxlPorter:
             self.queue.schedule(
                 request.when, lambda r=request: self.submit(r), label="arrival"
             )
-        self.queue.schedule_after(self.config.controller_tick_ns, self._controller_tick)
+        self.queue.schedule_after(CONTROLLER_TICK_NS, self._controller_tick)
         horizon = until
         if horizon is None:
             horizon = (max(r.when for r in requests) if requests else 0) + 120 * SEC

@@ -61,25 +61,12 @@ class GhostContainerPool:
         ghost.release()
         self._free.setdefault(ghost.function_name, []).append(ghost)
 
-    def destroy(self, ghost: GhostContainer) -> None:
-        """Tear a ghost down entirely (memory reclaim)."""
-        ghost.destroy()
-        self._all.remove(ghost)
-        pool = self._free.get(ghost.function_name)
-        if pool and ghost in pool:
-            pool.remove(ghost)
-        self.node.dram.put(ghost.reserved_frames)
-
     def free_count(self, function: str) -> int:
         return len(self._free.get(function, []))
 
     @property
     def total_count(self) -> int:
         return len(self._all)
-
-    @property
-    def overhead_bytes(self) -> int:
-        return self.total_count * GHOST_CONTAINER_BYTES
 
 
 __all__ = ["GhostContainerPool"]

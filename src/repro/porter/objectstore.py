@@ -135,14 +135,5 @@ class CheckpointObjectStore:
     def entries(self) -> list:
         return list(self._by_cid.values())
 
-    @property
-    def cxl_bytes(self) -> int:
-        return sum(_resident_bytes(e.checkpoint) for e in self._by_cid.values())
-
-    def close(self) -> None:
-        for cid in list(self._by_cid):
-            self.evict(cid)
-        self.fabric.unpin_region(self.name)
-
 
 __all__ = ["CheckpointObjectStore", "StoredCheckpoint", "LOOKUP_NS"]

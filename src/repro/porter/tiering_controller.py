@@ -74,10 +74,6 @@ class TieringController:
             return HybridTiering()
         return MigrateOnWrite()
 
-    def demote(self, function: str) -> None:
-        """Fall back to MoW (e.g. memory pressure rose pod-wide)."""
-        self._promoted.discard(function)
-
     def refresh_hot_sets(self, checkpoints) -> float:
         """Periodically clear the A bits of stored checkpoints (§4.3).
 

@@ -8,7 +8,7 @@ for exactly this failure mode; this package closes the software side of
 that loop:
 
 * **Injection** — :class:`repro.faults.FaultInjector` grows
-  seed-reproducible ``poison_frame``/``poison_range`` faults (including
+  seed-reproducible ``poison_range`` faults (including
   mid-operation timing via clock alarms) that flip frames to POISONED in
   a :class:`repro.cxl.allocator.FrameAllocator`.
 * **Detection** — per-frame content checksums, computed at checkpoint

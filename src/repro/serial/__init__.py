@@ -8,7 +8,7 @@ in place (:mod:`repro.serial.rebase`).
 """
 
 from repro.serial.blob import CxlHeap
-from repro.serial.codec import Codec, CodecCostModel, decode, encode, encoded_size
+from repro.serial.codec import Codec, CodecCostModel, decode, encode
 from repro.serial.rebase import CxlOffset, RebaseError, Rebaser
 from repro.serial.records import (
     FdRecord,
@@ -27,7 +27,6 @@ __all__ = [
     "CodecCostModel",
     "encode",
     "decode",
-    "encoded_size",
     "CxlOffset",
     "Rebaser",
     "RebaseError",

@@ -71,12 +71,6 @@ class CxlHeap:
             raise KeyError(f"no object at heap offset {offset}")
         return obj
 
-    def size_of(self, offset: int) -> int:
-        return self._sizes[offset]
-
-    def contains(self, offset: int) -> bool:
-        return offset in self._objects
-
     # -- accounting ------------------------------------------------------------
 
     @property
@@ -84,18 +78,11 @@ class CxlHeap:
         return self._cursor
 
     @property
-    def backing_pages(self) -> int:
-        return self._frame_count
-
-    @property
     def backing_frames(self) -> np.ndarray:
         """The CXL frames backing this heap (empty once released)."""
         if self._frames is None:
             return np.empty(0, dtype=np.int64)
         return self._frames
-
-    def offsets(self) -> list:
-        return sorted(self._objects)
 
     def release(self) -> int:
         """Free the backing CXL frames; returns pages released."""

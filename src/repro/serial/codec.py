@@ -181,11 +181,6 @@ def decode(data: bytes) -> Any:
     return value
 
 
-def encoded_size(value: Any) -> int:
-    """Size in bytes of the encoding of ``value``."""
-    return len(encode(value))
-
-
 @dataclass(frozen=True)
 class CodecCostModel:
     """Virtual-time cost of (de)serialization.
@@ -226,4 +221,4 @@ class Codec:
         return decode(data), self.costs.decode_ns(len(data), nrecords)
 
 
-__all__ = ["Codec", "CodecCostModel", "encode", "decode", "encoded_size"]
+__all__ = ["Codec", "CodecCostModel", "encode", "decode"]

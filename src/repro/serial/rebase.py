@@ -64,20 +64,6 @@ class Rebaser:
         self._pinned[key] = obj
         return CxlOffset(offset)
 
-    def rebase_ref(self, obj: Any) -> CxlOffset:
-        """The rebased pointer for an already-interned object.
-
-        Raises :class:`RebaseError` for objects never interned — a reference
-        escaping the checkpoint.
-        """
-        offset = self._offsets_by_id.get(id(obj))
-        if offset is None:
-            raise RebaseError(
-                f"reference to non-checkpointed object {type(obj).__name__} "
-                "— global state must be serialized, not rebased"
-            )
-        return CxlOffset(offset)
-
     def is_interned(self, obj: Any) -> bool:
         return id(obj) in self._offsets_by_id
 

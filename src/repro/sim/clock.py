@@ -19,21 +19,16 @@ from typing import Callable
 
 
 class ClockAlarm:
-    """One armed alarm; cancel by calling :meth:`cancel`."""
+    """One armed alarm."""
 
-    __slots__ = ("deadline", "action", "cancelled")
+    __slots__ = ("deadline", "action")
 
     def __init__(self, deadline: int, action: Callable[[], None]) -> None:
         self.deadline = int(deadline)
         self.action = action
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        self.cancelled = True
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "cancelled" if self.cancelled else "armed"
-        return f"ClockAlarm(deadline={self.deadline}, {state})"
+        return f"ClockAlarm(deadline={self.deadline})"
 
 
 class Clock:
@@ -58,8 +53,8 @@ class Clock:
     def at(self, deadline_ns: int, action: Callable[[], None]) -> ClockAlarm:
         """Arm ``action`` to fire when time crosses absolute ``deadline_ns``.
 
-        Actions fire inside the :meth:`advance`/:meth:`advance_to` call that
-        crosses the deadline, with the clock set *to the deadline*.  An
+        Actions fire inside the :meth:`advance` call that crosses the
+        deadline, with the clock set *to the deadline*.  An
         action that raises leaves the clock at its deadline — the operation
         mid-flight observes virtual time frozen at the fault instant.
         A deadline at or before ``now`` fires on the next advance.
@@ -80,8 +75,6 @@ class Clock:
     def _fire_due(self, target: int) -> None:
         while self._alarms and self._alarms[0].deadline <= target:
             alarm = self._alarms.pop(0)
-            if alarm.cancelled:
-                continue
             self._now = max(self._now, alarm.deadline)
             alarm.action()
         self._now = max(self._now, target)
@@ -101,19 +94,6 @@ class Clock:
         else:
             self._now += delta
         return self._now
-
-    def advance_to(self, when_ns: int) -> int:
-        """Jump forward to absolute time ``when_ns`` (no-op if in the past)."""
-        if when_ns > self._now:
-            if self._alarms:
-                self._fire_due(int(when_ns))
-            else:
-                self._now = int(when_ns)
-        return self._now
-
-    def fork(self) -> "Clock":
-        """A new clock starting at this clock's current time."""
-        return Clock(self._now)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Clock(now={self._now})"

@@ -21,28 +21,13 @@ def ensure_sorted(values: np.ndarray) -> np.ndarray:
     return np.sort(values)
 
 
-def in_sorted(values: np.ndarray, sorted_haystack: np.ndarray) -> np.ndarray:
-    """Boolean mask of which ``values`` occur in ``sorted_haystack``.
-
-    Equivalent to ``np.isin(values, sorted_haystack)`` when the haystack is
-    sorted ascending (duplicates allowed), but O(len(values) * log n)
-    instead of re-sorting the haystack on every call.
-    """
-    values = np.asarray(values)
-    if sorted_haystack.size == 0 or values.size == 0:
-        return np.zeros(values.shape, dtype=bool)
-    pos = np.searchsorted(sorted_haystack, values)
-    pos = np.minimum(pos, sorted_haystack.size - 1)
-    return sorted_haystack[pos] == values
-
-
 def mask_in_range(sorted_haystack: np.ndarray, start: int, length: int) -> np.ndarray:
     """Boolean mask over ``[start, start+length)`` marking vpns present in
     ``sorted_haystack``.
 
-    The contiguous-window form of :func:`in_sorted`: instead of testing all
-    ``length`` positions, it bisects the two window bounds and scatters the
-    (typically few) haystack hits — O(log n + hits), no range array.
+    Instead of testing all ``length`` positions against the haystack, it
+    bisects the two window bounds and scatters the (typically few)
+    haystack hits — O(log n + hits), no range array.
     """
     mask = np.zeros(length, dtype=bool)
     if sorted_haystack.size == 0 or length <= 0:
@@ -67,4 +52,4 @@ def count_in_range(sorted_haystack: np.ndarray, start: int, stop: int) -> int:
     return int(hi - lo)
 
 
-__all__ = ["ensure_sorted", "in_sorted", "mask_in_range", "count_in_range"]
+__all__ = ["ensure_sorted", "mask_in_range", "count_in_range"]

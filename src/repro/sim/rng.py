@@ -27,10 +27,6 @@ class RngStream:
         self.seed = seed
         self._gen = np.random.default_rng(seed)
 
-    @property
-    def generator(self) -> np.random.Generator:
-        return self._gen
-
     def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
         return float(self._gen.uniform(low, high))
 
@@ -40,16 +36,6 @@ class RngStream:
 
     def exponential(self, scale: float) -> float:
         return float(self._gen.exponential(scale))
-
-    def pareto(self, shape: float) -> float:
-        return float(self._gen.pareto(shape))
-
-    def choice(self, seq, p=None):
-        index = self._gen.choice(len(seq), p=p)
-        return seq[int(index)]
-
-    def shuffle(self, array) -> None:
-        self._gen.shuffle(array)
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
@@ -77,8 +63,3 @@ class SeedSequenceFactory:
         self._streams[name] = stream
         return stream
 
-    def fresh(self, name: str) -> RngStream:
-        """A new stream even if ``name`` was used before (re-seeds it)."""
-        stream = RngStream(name, _derive_seed(self.root_seed, name))
-        self._streams[name] = stream
-        return stream

@@ -127,10 +127,6 @@ class MetricRegistry:
             histogram = self.histograms[name] = Histogram(name)
         return histogram
 
-    def clear(self) -> None:
-        self.counters.clear()
-        self.histograms.clear()
-
 
 class _ZeroClock:
     """Fallback time source for spans opened with no clock in scope."""

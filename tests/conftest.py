@@ -66,3 +66,22 @@ def check_enabled():
     yield CHECK
     CHECK.disable()
     CHECK.reset()
+
+
+@pytest.fixture
+def touched_bytes():
+    """Reference per-invocation working set of a ``FunctionSpec`` in bytes:
+    each segment role's share of the footprint times the fraction of it
+    one invocation touches."""
+
+    def working_set(spec) -> int:
+        return int(
+            spec.footprint_bytes
+            * (
+                spec.init_frac * spec.init_touch_frac
+                + spec.ro_frac * spec.ro_touch_frac
+                + spec.rw_frac * spec.rw_touch_frac
+            )
+        )
+
+    return working_set

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.__main__ import main
-from repro.analysis.tables import format_table
 from repro.experiments import REGISTRY
 from repro.experiments.common import geometric_mean
 
@@ -16,24 +15,6 @@ class TestStats:
     def test_geometric_mean_skips_nonpositive(self):
         assert geometric_mean([0, -5, 4]) == pytest.approx(4.0)
         assert geometric_mean([]) == 0.0
-
-
-class TestTables:
-    def test_alignment(self):
-        table = format_table(["name", "value"], [["a", 1.5], ["bbbb", 22.25]])
-        lines = table.splitlines()
-        assert len(lines) == 4
-        assert "bbbb" in lines[3]
-        assert "22.25" in lines[3]
-
-    def test_markdown(self):
-        table = format_table(["x"], [["y"]], markdown=True)
-        assert table.splitlines()[0].startswith("| x")
-        assert set(table.splitlines()[1]) <= {"|", "-"}
-
-    def test_row_width_mismatch(self):
-        with pytest.raises(ValueError):
-            format_table(["a", "b"], [["only-one"]])
 
 
 class TestCli:

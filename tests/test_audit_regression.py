@@ -84,6 +84,6 @@ class TestAllocatorAuditUnit:
         pool = FrameAllocator("unit", base=0, capacity_frames=128)
         frames = pool.alloc_many(8)
         assert pool.live_frames == 8
-        pool.free_many(frames[:3])
+        pool.put(frames[:3])
         assert pool.live_frames == 5
         assert pool.allocated_frames == pool.live_frames

@@ -69,7 +69,6 @@ class TestBaselineRoundTrip:
     def _result(self, mode: str, wall: float, digest: str) -> BenchResult:
         return BenchResult(
             experiment="fig7", mode=mode, wall_s=wall,
-            host_calls=123 if mode == "full" else None,
             sim_results_digest=digest,
         )
 
@@ -146,7 +145,7 @@ class TestDeterminism:
         code paths must reproduce the committed simulated results."""
         _, _, harness = quick_runs
         baseline = load_baseline("fig7")
-        assert baseline is not None, "benchmarks/baselines/BENCH_fig7.json missing"
+        assert baseline is not None, "BENCH_fig7.json missing"
         assert harness.sim_results_digest == baseline["quick"]["sim_results_digest"]
 
 
@@ -156,7 +155,7 @@ class TestComparisonEdgeCases:
     def _full(self, wall: float) -> BenchResult:
         return BenchResult(
             experiment="fig7", mode="full", wall_s=wall,
-            host_calls=123, sim_results_digest="d" * 64,
+            sim_results_digest="d" * 64,
         )
 
     def _comparison(self, wall: float, base: dict) -> bench.Comparison:
@@ -172,10 +171,9 @@ class TestComparisonEdgeCases:
         assert not comparison.ok
 
     def test_zero_wall_baseline_shown_in_describe(self):
-        text = self._comparison(5.0, {"wall_s": 0.0, "host_calls": 0}).describe()
+        text = self._comparison(5.0, {"wall_s": 0.0}).describe()
         assert "wall vs baseline 0.00s" in text
         assert "REGRESSION" in text
-        assert "host calls vs baseline 0" in text  # no silent skip, no crash
 
     def test_missing_wall_baseline_is_unguarded(self):
         comparison = self._comparison(5.0, {})
@@ -185,7 +183,7 @@ class TestComparisonEdgeCases:
     def test_describe_notes_jobs_mismatch(self):
         comparison = bench.Comparison(
             result=BenchResult(
-                experiment="fig7", mode="full", wall_s=2.0, host_calls=None,
+                experiment="fig7", mode="full", wall_s=2.0,
                 sim_results_digest="d" * 64, jobs=8,
             ),
             baseline={"wall_s": 5.0, "sim_results_digest": "d" * 64, "jobs": 1},
@@ -196,46 +194,54 @@ class TestComparisonEdgeCases:
         assert "baseline jobs=1" in text
 
 
-class TestHostCallCounter:
-    def test_restores_preexisting_profiler(self):
-        import sys
+class TestRerun:
+    """The serial re-run in full mode is a check, not a measurement."""
 
-        events = []
+    @pytest.fixture
+    def drifting(self, monkeypatch):
+        # Every run returns a different result, as a leak of scheduling
+        # order or host state into simulated results would.
+        runs = []
 
-        def outer_profiler(frame, event, arg):  # noqa: ARG001
-            events.append(event)
+        def run(name, config, jobs=1):  # noqa: ARG001 - experiments.run shape
+            runs.append(jobs)
+            return [len(runs)]
 
-        sys.setprofile(outer_profiler)
-        try:
-            count, result = bench._count_host_calls(lambda: sum(range(10)))
-            assert sys.getprofile() is outer_profiler
-        finally:
-            sys.setprofile(None)
-        assert result == 45
-        assert count > 0
+        monkeypatch.setattr(bench.experiments, "run", run)
+        monkeypatch.setattr(fig7_performance, "gates", lambda result: [])
+        return runs
 
-    def test_restores_none_when_no_profiler(self):
-        import sys
+    def test_divergent_update_rerun_raises(self, drifting):
+        with pytest.raises(RuntimeError, match="non-deterministic"):
+            run_bench("fig7", rerun=True)
+        assert drifting == [1, 1]
 
-        bench._count_host_calls(lambda: None)
-        assert sys.getprofile() is None
+    def test_divergent_parallel_rerun_raises(self, drifting):
+        with pytest.raises(RuntimeError, match="parallel vs serial"):
+            run_bench("fig7", jobs=2)
+        assert drifting == [2, 1]
+
+    def test_serial_full_run_runs_once(self, drifting):
+        result = run_bench("fig7")
+        assert drifting == [1]
+        assert result.sim_results_digest == results_digest([1])
 
 
 class TestJobsField:
     def test_to_entry_records_jobs(self):
         result = BenchResult(
-            experiment="fig7", mode="full", wall_s=1.0, host_calls=1,
+            experiment="fig7", mode="full", wall_s=1.0,
             sim_results_digest="d" * 64, jobs=4,
         )
         assert result.to_entry()["jobs"] == 4
 
     def test_write_baseline_records_jobs(self, tmp_path):
         full = BenchResult(
-            experiment="fig7", mode="full", wall_s=1.0, host_calls=1,
+            experiment="fig7", mode="full", wall_s=1.0,
             sim_results_digest="d" * 64, jobs=8,
         )
         quick = BenchResult(
-            experiment="fig7", mode="quick", wall_s=0.1, host_calls=None,
+            experiment="fig7", mode="quick", wall_s=0.1,
             sim_results_digest="e" * 64,
         )
         payload = json.loads(
@@ -266,7 +272,7 @@ class TestBenchRegistry:
 
     def test_gate_failures_fail_the_comparison(self, tmp_path):
         result = BenchResult(
-            experiment="fig7", mode="quick", wall_s=0.1, host_calls=None,
+            experiment="fig7", mode="quick", wall_s=0.1,
             sim_results_digest="d" * 64, gate_failures=["leaked 3 frames"],
         )
         comparison = compare_to_baseline(result, baseline_dir=tmp_path)

@@ -104,7 +104,7 @@ class TestDetection:
             if idx.size:
                 frame = int(ptes[idx[0]]) >> PTE_FRAME_SHIFT
                 assert pod.source.dram.refcount(frame) == 1
-                pod.source.dram.free_many(np.array([frame], dtype=np.int64))
+                pod.source.dram.put(np.array([frame], dtype=np.int64))
                 break
         else:
             raise AssertionError("no exclusively owned local page")

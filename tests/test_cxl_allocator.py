@@ -19,7 +19,7 @@ class TestAllocation:
         assert len(set(frames.tolist())) == 10
 
     def test_alloc_single(self, pool):
-        frame = pool.alloc()
+        frame = int(pool.alloc_many(1)[0])
         assert pool.owns(frame)
         assert pool.refcount(frame) == 1
 
@@ -48,31 +48,31 @@ class TestAllocation:
 class TestFreeAndReuse:
     def test_free_returns_capacity(self, pool):
         frames = pool.alloc_many(50)
-        pool.free_many(frames)
+        pool.put(frames)
         assert pool.allocated_frames == 0
         assert pool.free_frames == 100
 
     def test_freed_frames_are_reused(self, pool):
         first = pool.alloc_many(100)
-        pool.free_many(first)
+        pool.put(first)
         second = pool.alloc_many(100)
         assert set(second.tolist()) == set(first.tolist())
 
     def test_double_free_rejected(self, pool):
         frames = pool.alloc_many(5)
-        pool.free_many(frames)
+        pool.put(frames)
         with pytest.raises(ValueError):
-            pool.free_many(frames)
+            pool.put(frames)
 
 
 class TestRefcounts:
     def test_get_increments(self, pool):
-        frame = pool.alloc()
+        frame = int(pool.alloc_many(1)[0])
         pool.get(frame)
         assert pool.refcount(frame) == 2
 
     def test_put_frees_at_zero(self, pool):
-        frame = pool.alloc()
+        frame = int(pool.alloc_many(1)[0])
         pool.get(frame)
         assert pool.put(frame) == 0  # still one ref
         assert pool.allocated_frames == 1

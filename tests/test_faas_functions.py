@@ -63,13 +63,13 @@ class TestBehaviouralParams:
         for spec in TABLE1:
             assert 250.0 <= spec.state_init_ms <= 500.0
 
-    def test_only_bfs_bert_exceed_cache(self):
+    def test_only_bfs_bert_exceed_cache(self, touched_bytes):
         """§7.1: only BFS and Bert have working sets beyond the 64 MB L3."""
         from repro.os.mm.cache import CacheModel
 
         cache = CacheModel()
         for spec in TABLE1:
-            ws = spec.touched_bytes_per_invocation()
+            ws = touched_bytes(spec)
             if spec.name in ("bfs", "bert"):
                 assert not cache.fits(ws), spec.name
             else:

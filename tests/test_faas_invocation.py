@@ -70,10 +70,10 @@ class TestWarmExecution:
         result = workload.invoke(instance)
         assert result.reaccess_misses == 0  # fits in L3
 
-    def test_touched_pages_match_plan(self, warm):
+    def test_touched_pages_match_plan(self, warm, touched_bytes):
         workload, instance = warm
         result = workload.invoke(instance)
-        expected = workload.spec.touched_bytes_per_invocation() / 4096
+        expected = touched_bytes(workload.spec) / 4096
         assert result.touched_pages == pytest.approx(expected, rel=0.1)
 
 

@@ -6,22 +6,30 @@ from repro.faas.functions import TABLE1, get_function
 from repro.faas.profiles import Segment, SegmentKind, SegmentRole, build_plan
 
 
+def _pages(segments) -> int:
+    return sum(seg.npages for seg in segments)
+
+
+def _by_role(plan, role: SegmentRole) -> list:
+    return [seg for seg in plan.segments if seg.role is role]
+
+
 class TestBuildPlan:
     def test_total_pages_match_footprint(self):
         for spec in TABLE1:
             plan = build_plan(spec)
-            assert plan.total_pages() == pytest.approx(
+            assert _pages(plan.segments) == pytest.approx(
                 spec.footprint_pages, rel=0.01
             )
 
     def test_role_fractions_respected(self):
         spec = get_function("bert")
         plan = build_plan(spec)
-        total = plan.total_pages()
-        assert plan.pages_by_role(SegmentRole.INIT) / total == pytest.approx(
+        total = _pages(plan.segments)
+        assert _pages(_by_role(plan, SegmentRole.INIT)) / total == pytest.approx(
             spec.init_frac, abs=0.02
         )
-        assert plan.pages_by_role(SegmentRole.READ_WRITE) / total == pytest.approx(
+        assert _pages(_by_role(plan, SegmentRole.READ_WRITE)) / total == pytest.approx(
             spec.rw_frac, abs=0.02
         )
 
@@ -44,8 +52,8 @@ class TestBuildPlan:
 
     def test_one_segment_per_data_role(self):
         plan = build_plan(get_function("cnn"))
-        assert len(plan.by_role(SegmentRole.READ_ONLY)) == 1
-        assert len(plan.by_role(SegmentRole.READ_WRITE)) == 1
+        assert len(_by_role(plan, SegmentRole.READ_ONLY)) == 1
+        assert len(_by_role(plan, SegmentRole.READ_WRITE)) == 1
 
 
 class TestSegment:

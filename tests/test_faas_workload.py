@@ -3,6 +3,7 @@
 import pytest
 
 from repro.faas.functions import get_function
+from repro.faas.profiles import SegmentKind
 from repro.faas.workload import FunctionWorkload
 from repro.os.mm.pte import PteFlags
 
@@ -45,7 +46,9 @@ class TestBuildInstance:
     def test_libraries_through_page_cache(self, pod):
         workload = FunctionWorkload("float")
         instance = workload.build_instance(pod.source)
-        file_pages = instance.plan.file_pages()
+        file_pages = sum(
+            s.npages for s in instance.plan.segments if s.kind is SegmentKind.FILE
+        )
         assert pod.source.pagecache.total_cached_pages() == file_pages
 
     def test_two_instances_same_layout(self, pod):

@@ -39,14 +39,6 @@ class TestSharedRootFs:
         assert a is b
         assert b.size_bytes == 10
 
-    def test_unlink(self):
-        fs = SharedRootFs()
-        fs.create("/a")
-        fs.unlink("/a")
-        assert not fs.exists("/a")
-        with pytest.raises(ValueError):
-            fs.unlink("/")
-
     def test_normalization(self):
         fs = SharedRootFs()
         fs.create("/a/b")

@@ -44,20 +44,6 @@ class TestReclaimer:
         assert calls  # the victim ran
         assert node0.pagecache.cached_pages("/lib/cache.so") == 0
 
-    def test_unregister_victim(self, node0):
-        calls = []
-
-        def victim(shortfall):
-            calls.append(shortfall)
-            return 0
-
-        node0.reclaimer.register_victim_source(victim)
-        node0.reclaimer.unregister_victim_source(victim)
-        node0.dram.alloc_many(node0.dram.free_frames)
-        with pytest.raises(OutOfMemoryError):
-            node0.dram.alloc_many(1)
-        assert calls == []
-
     def test_oom_when_nothing_reclaimable(self, node0):
         node0.dram.alloc_many(node0.dram.free_frames)
         with pytest.raises(OutOfMemoryError):

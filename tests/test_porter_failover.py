@@ -4,7 +4,7 @@ import pytest
 
 from repro.faas.traces import Request
 from repro.faults import FaultInjector
-from repro.porter.autoscaler import CxlPorter, PorterConfig
+from repro.porter.autoscaler import MEMORY_RETRY_CAP_NS, CxlPorter, PorterConfig
 from repro.porter.scheduler import PodExhaustedError
 from repro.sim.units import GIB, MS, SEC
 
@@ -104,7 +104,7 @@ class TestRetryBackoff:
         porter, _, _ = trio
         policy = porter.retry_policy
         assert policy.base_ns == porter.config.memory_retry_ns
-        assert policy.cap_ns == porter.config.memory_retry_cap_ns
+        assert policy.cap_ns == MEMORY_RETRY_CAP_NS
         nominal = [policy.delay_ns(a) for a in range(10)]
         assert nominal[1] == 2 * nominal[0]
         assert max(nominal) == policy.cap_ns
@@ -129,7 +129,7 @@ class TestRetryBackoff:
 
         def always_oom(checkpoint, node, **kw):
             attempts.append(porter.queue.now)
-            raise OutOfMemoryError(node.dram, 1)
+            raise OutOfMemoryError(node.dram.name, 1, 0, node.dram.capacity_frames)
 
         porter.mechanism.restore = always_oom
         metrics = porter.run(requests_for("json", [0.0]))

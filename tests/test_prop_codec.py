@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.serial.codec import decode, encode, encoded_size
+from repro.serial.codec import decode, encode
 
 pytestmark = pytest.mark.prop
 
@@ -36,17 +36,13 @@ class TestCodecProperties:
         decoded = decode(encode(value))
         assert decoded == value or _tuple_eq(decoded, value)
 
-    @given(values)
-    def test_size_matches(self, value):
-        assert encoded_size(value) == len(encode(value))
-
     @given(st.integers(min_value=0, max_value=2**63 - 1))
     def test_varint_roundtrip(self, n):
         assert decode(encode(n)) == n
 
     @given(st.binary(max_size=1000))
     def test_bytes_payload_overhead_small(self, payload):
-        assert encoded_size(payload) <= len(payload) + 6
+        assert len(encode(payload)) <= len(payload) + 6
 
     @given(values, values)
     def test_encoding_is_deterministic(self, a, b):

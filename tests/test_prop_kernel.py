@@ -10,7 +10,6 @@ and checks the global invariants that every mechanism depends on:
   allocated frames.
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

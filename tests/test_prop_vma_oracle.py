@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.os.mm.vma import VMAS_PER_LEAF, Vma, VmaPerms, VmaTree
-from repro.sim.npx import count_in_range, ensure_sorted, in_sorted, mask_in_range
+from repro.sim.npx import count_in_range, ensure_sorted, mask_in_range
 
 pytestmark = pytest.mark.prop
 
@@ -151,17 +151,6 @@ class TestVmaTreeAgainstOracle:
 
 
 class TestSearchsortedHelpers:
-    @given(
-        st.lists(st.integers(min_value=0, max_value=2000), max_size=200),
-        st.lists(st.integers(min_value=0, max_value=2000), max_size=200),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_in_sorted_matches_isin(self, values, haystack):
-        hay = np.array(sorted(haystack), dtype=np.int64)
-        vals = np.array(values, dtype=np.int64)
-        expected = np.isin(vals, hay)
-        assert (in_sorted(vals, hay) == expected).all()
-
     @given(
         st.lists(st.integers(min_value=0, max_value=3000), max_size=200),
         st.integers(min_value=0, max_value=3000),

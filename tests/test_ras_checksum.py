@@ -5,7 +5,7 @@ import pytest
 from repro.cluster.replication import wire_image
 from repro.exceptions import PoisonError
 from repro.faults import FaultInjector
-from repro.ras import RAS, checkpoint_frames, seal_checkpoint, verify_checkpoint
+from repro.ras import RAS, checkpoint_frames, verify_checkpoint
 from repro.rfork.registry import get_mechanism
 
 

@@ -121,7 +121,7 @@ class TestInjectorPoison:
         frames = pool.alloc_many(4)
         injector = FaultInjector(seed=5)
         assert injector.poison_range(pool, frames[:2]) == 2
-        assert injector.poison_frame(pool, int(frames[0])) == 0
+        assert injector.poison_range(pool, [int(frames[0])]) == 0
 
     def test_poison_random_is_seed_deterministic(self):
         pool_a, pool_b, pool_c = _pool(), _pool(), _pool()
@@ -150,25 +150,13 @@ class TestInjectorPoison:
         from repro.sim.clock import Clock
 
         pool = _pool()
-        pool.alloc_many(4)
+        frames = pool.alloc_many(4)
         clock = Clock()
         injector = FaultInjector(seed=3)
         injector.poison_at(clock, pool, 100, count=2)
         assert not pool.has_poison
         clock.advance(500)  # silent: the alarm never raises
-        assert pool.poisoned_frames == 2
-
-    def test_cancel_all_disarms_pending_poison(self):
-        from repro.sim.clock import Clock
-
-        pool = _pool()
-        pool.alloc_many(4)
-        clock = Clock()
-        injector = FaultInjector(seed=3)
-        injector.poison_at(clock, pool, 100)
-        injector.cancel_all()
-        clock.advance(500)
-        assert not pool.has_poison
+        assert pool.poisoned_in(frames).size == 2
 
     def test_poison_allocated_picks_only_live_frames(self):
         pool = _pool()

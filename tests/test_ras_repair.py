@@ -172,7 +172,9 @@ class TestRetries:
             # The next two allocations fail outright, then the pool recovers.
             if failures[0]:
                 failures[0] -= 1
-                raise OutOfMemoryError(pool, count)
+                raise OutOfMemoryError(
+                    pool.name, count, pool.free_frames, pool.capacity_frames
+                )
             return alloc_many(count)
 
         monkeypatch.setattr(pool, "alloc_many", flaky_alloc_many)

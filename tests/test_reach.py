@@ -1,9 +1,11 @@
-"""tools/reach.py: the AST enumerator and the unreached-module rule.
+"""tools/reach.py: the AST enumerator, the unreached-module rule and the
+allowlist rule.
 
 Runs no experiment; the probe itself runs in CI's check-smoke job.
 """
 
 import importlib.util
+import io
 import pathlib
 import sys
 
@@ -148,3 +150,87 @@ def test_class_names_resolve_to_the_defining_module(reach, tmp_path, monkeypatch
     assert not reach.module_reached(functions, classes, set(), dead, trace)
     functions, classes = reach.enumerate_functions((tmp_path / "used.py").read_text())
     assert reach.module_reached(functions, classes, set(), used, trace)
+
+
+# -- the allowlist rule ---------------------------------------------------------
+
+RULE_FIXTURE = '''\
+def used():
+    return 1
+
+
+def unused():
+    return 2
+
+
+def listed():
+    return 3
+'''
+
+
+@pytest.fixture
+def probed(reach, tmp_path, monkeypatch):
+    """A fixture package of two modules, traced while calling only
+    ``mod.used``; returns its scanned modules."""
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "mod.py").write_text(RULE_FIXTURE)
+    (package / "dead.py").write_text("def never():\n    return 0\n")
+    mod = _load(package / "mod.py", "reach_rule_mod", monkeypatch)
+    _load(package / "dead.py", "reach_rule_dead", monkeypatch)
+    trace = reach.trace_calls([("used", mod.used)], io.StringIO(), root=str(package))
+    return reach.scan(trace, root=str(package))
+
+
+LISTED = {
+    "mod.py:unused": "reason",
+    "mod.py:listed": "reason",
+    "dead.py": "reason",
+}
+
+
+def test_listed_unreached_functions_pass(reach, probed):
+    assert reach.problems(probed, LISTED) == []
+    assert reach.report(probed, LISTED) == 0
+
+
+def test_unlisted_unreached_function_fails(reach, probed):
+    allowed = {k: v for k, v in LISTED.items() if k != "mod.py:unused"}
+    assert reach.problems(probed, allowed) == [
+        "UNREACHED mod.py:unused: not on the allowlist"
+    ]
+    assert reach.report(probed, allowed) == 1
+
+
+def test_unlisted_dead_module_fails(reach, probed):
+    allowed = {k: v for k, v in LISTED.items() if k != "dead.py"}
+    assert reach.problems(probed, allowed) == [
+        "UNREACHED module dead.py: not on the allowlist",
+        "UNREACHED dead.py:never: not on the allowlist",
+    ]
+
+
+def test_listed_function_that_ran_fails(reach, probed):
+    allowed = {**LISTED, "mod.py:used": "reason"}
+    assert reach.problems(probed, allowed) == ["STALE mod.py:used: it ran"]
+
+
+def test_listed_name_that_no_longer_exists_fails(reach, probed):
+    allowed = {**LISTED, "mod.py:deleted": "reason", "gone.py": "reason"}
+    assert reach.problems(probed, allowed) == [
+        "STALE gone.py: no such module",
+        "STALE mod.py:deleted: no such function",
+    ]
+
+
+def test_listed_module_that_is_reached_fails(reach, probed):
+    allowed = {**LISTED, "mod.py": "reason"}
+    assert reach.problems(probed, allowed) == [
+        "STALE mod.py: the module is reached; list its functions"
+    ]
+
+
+def test_committed_allowlist_gives_every_entry_a_reason(reach):
+    for key, reason in reach.ALLOWED.items():
+        assert reason.strip(), key
+        assert key.count(":") <= 1 and key.split(":")[0].endswith(".py"), key

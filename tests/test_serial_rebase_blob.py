@@ -33,8 +33,7 @@ class TestCxlHeap:
         before = fabric.used_bytes
         for i in range(100):
             heap.store(i, 4096)
-        assert fabric.used_bytes > before
-        assert heap.backing_pages >= 100
+        assert fabric.used_bytes >= before + 100 * 4096
 
     def test_release_frees_cxl(self, fabric):
         heap = CxlHeap(fabric)
@@ -67,12 +66,6 @@ class TestRebaser:
         rebaser = Rebaser(CxlHeap(fabric))
         leaf = {"x": 1}
         assert rebaser.intern(leaf, 10).value == rebaser.intern(leaf, 10).value
-
-    def test_escaping_reference_detected(self, fabric):
-        rebaser = Rebaser(CxlHeap(fabric))
-        outside = object()  # e.g. an inode of the source OS
-        with pytest.raises(RebaseError):
-            rebaser.rebase_ref(outside)
 
     def test_verify_closed_passes_for_closed_graph(self, fabric):
         rebaser = Rebaser(CxlHeap(fabric))

@@ -31,24 +31,6 @@ class TestClock:
         with pytest.raises(ValueError):
             clock.advance(-1)
 
-    def test_advance_to_future(self):
-        clock = Clock()
-        clock.advance_to(1_000)
-        assert clock.now == 1_000
-
-    def test_advance_to_past_is_noop(self):
-        clock = Clock(500)
-        clock.advance_to(100)
-        assert clock.now == 500
-
-    def test_fork_starts_at_current_time(self):
-        clock = Clock()
-        clock.advance(42)
-        child = clock.fork()
-        assert child.now == 42
-        child.advance(1)
-        assert clock.now == 42  # independent afterwards
-
 
 class TestAlarms:
     def test_alarms_fire_in_deadline_order_regardless_of_arming_order(self):
@@ -82,11 +64,3 @@ class TestAlarms:
         clock.advance(100)
         assert fired == [10, 20]
 
-    def test_cancelled_alarm_skipped(self):
-        clock = Clock()
-        fired = []
-        alarm = clock.at(10, lambda: fired.append(1))
-        alarm.cancel()
-        clock.advance(100)
-        assert fired == []
-        assert clock.now == 100

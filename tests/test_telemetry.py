@@ -50,13 +50,6 @@ class TestMetrics:
         assert h.percentile(99) is None
         assert h.to_numpy().size == 0
 
-    def test_clear(self):
-        registry = MetricRegistry()
-        registry.counter("a").add()
-        registry.histogram("b").observe(1)
-        registry.clear()
-        assert registry.counters == {} and registry.histograms == {}
-
 
 class TestSpans:
     def test_span_snapshots_virtual_time(self, traced):
