@@ -17,7 +17,6 @@ from repro.experiments.common import make_pod, prepare_parent
 from repro.faas.container import CONTAINER_CREATE_NS, GHOST_TRIGGER_NS
 from repro.os.mm.faults import FaultKind
 from repro.rfork.cxlfork import CxlFork
-from repro.sim.units import MS
 from repro.tiering.hybrid import HybridTiering, SyncHybridTiering
 from repro.tiering.prefetch import DirtyPagePrefetcher
 
@@ -31,19 +30,16 @@ def _restore_bert(mech, policy=None):
     return parent, restore, child
 
 
-def test_ablation_leaf_attach_vs_naive_copy(once, capsys):
+def test_ablation_leaf_attach_vs_naive_copy():
     _, attach, _ = _restore_bert(CxlFork())
-    _, naive, _ = once(_restore_bert, CxlFork(naive_restore=True))
-    with capsys.disabled():
-        print(f"\nrestore: attach {attach.metrics.latency_ns / MS:.2f} ms vs "
-              f"naive copy {naive.metrics.latency_ns / MS:.2f} ms")
+    _, naive, _ = _restore_bert(CxlFork(naive_restore=True))
     # The naive reconstruction costs several times the attach path.
     assert naive.metrics.latency_ns > 3 * attach.metrics.latency_ns
     assert "pt_attach" in attach.metrics.breakdown
     assert "pt_reinstall" in naive.metrics.breakdown
 
 
-def test_ablation_dirty_prefetch(once, capsys):
+def test_ablation_dirty_prefetch():
     def run(effectiveness):
         mech = CxlFork(prefetcher=DirtyPagePrefetcher(effectiveness=effectiveness))
         parent, restore, child = _restore_bert(mech)
@@ -51,18 +47,16 @@ def test_ablation_dirty_prefetch(once, capsys):
         return restore, inv
 
     _, with_prefetch = run(0.9)
-    _, without = once(run, 0.0)
+    _, without = run(0.0)
     cow_with = with_prefetch.fault_stats.count(FaultKind.COW_CXL)
     cow_without = without.fault_stats.count(FaultKind.COW_CXL)
-    with capsys.disabled():
-        print(f"\nCoW faults: prefetch on {cow_with}, off {cow_without}")
     # Prefetch eliminates the bulk of the CoW faults (paper: >95% of
     # parent-written pages are written by children too).
     assert cow_with < cow_without / 3
     assert with_prefetch.fault_ns < without.fault_ns
 
 
-def test_ablation_checkpoint_file_pages(once, capsys):
+def test_ablation_checkpoint_file_pages():
     def run(checkpoint_file_pages):
         mech = CxlFork(checkpoint_file_pages=checkpoint_file_pages)
         parent, restore, child = _restore_bert(mech)
@@ -70,12 +64,9 @@ def test_ablation_checkpoint_file_pages(once, capsys):
         return inv
 
     with_files = run(True)
-    without_files = once(run, False)
+    without_files = run(False)
     majors_with = with_files.fault_stats.count(FaultKind.FILE_MAJOR)
     majors_without = without_files.fault_stats.count(FaultKind.FILE_MAJOR)
-    with capsys.disabled():
-        print(f"\nfile major faults: checkpointed {majors_with}, "
-              f"lazy {majors_without}")
     # Checkpointing clean file pages eliminates remote file faults (§4.1:
     # "faulting in file pages on a remote node on restore is expensive").
     assert majors_with == 0
@@ -83,24 +74,18 @@ def test_ablation_checkpoint_file_pages(once, capsys):
     assert without_files.fault_ns > with_files.fault_ns
 
 
-def test_ablation_ghost_containers(once, capsys):
+def test_ablation_ghost_containers():
     """Ghost trigger vs full container creation: two orders of magnitude."""
-    ratio = once(lambda: CONTAINER_CREATE_NS / GHOST_TRIGGER_NS)
-    with capsys.disabled():
-        print(f"\ncontainer create / ghost trigger = {ratio:.0f}x")
-    assert ratio > 50
+    assert CONTAINER_CREATE_NS / GHOST_TRIGGER_NS > 50
 
 
-def test_ablation_sync_hot_prefetch(once, capsys):
+def test_ablation_sync_hot_prefetch():
     """Synchronous A-set prefetch trades restore tail for fewer faults —
     and loses on the restore path (the paper's conclusion)."""
     _, lazy_restore, _ = _restore_bert(CxlFork(), policy=HybridTiering())
-    parent, sync_restore, sync_child = once(
-        _restore_bert, CxlFork(), policy=SyncHybridTiering()
+    parent, sync_restore, sync_child = _restore_bert(
+        CxlFork(), policy=SyncHybridTiering()
     )
-    with capsys.disabled():
-        print(f"\nrestore: fetch-on-access {lazy_restore.metrics.latency_ns / MS:.2f} ms "
-              f"vs sync prefetch {sync_restore.metrics.latency_ns / MS:.2f} ms")
     # Synchronous prefetch inflates restore latency by a large factor.
     assert sync_restore.metrics.latency_ns > 5 * lazy_restore.metrics.latency_ns
     # ... though the sync child read-faults almost nothing afterwards

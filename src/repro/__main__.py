@@ -79,7 +79,7 @@ def _cmd_run(
             scope.enter_context(TRACE.force(True))
         result = experiments.run(name, config, jobs=jobs)
     print(module.format_rows(result))
-    failures = module.gates(result)
+    failures = module.gates(result, quick)
     for message in failures:
         print(f"FAIL: {message}")
     if check:

@@ -58,7 +58,7 @@ def generate_report(*, quick: bool = True) -> str:
         result = experiments.run(name, config)
         _section(out, f"{description} (`{name}`)")
         out.write("```\n" + module.format_rows(result) + "\n```\n")
-        for message in module.gates(result):
+        for message in module.gates(result, quick):
             out.write(f"\n**Gate failed:** {message}\n")
     elapsed = time.time() - started
     out.write(f"\n---\n*Report generated in {elapsed:.0f} s of wall time.*\n")

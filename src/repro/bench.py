@@ -135,7 +135,7 @@ def run_bench(
         wall_s=wall_s,
         sim_results_digest=digest,
         jobs=jobs,
-        gate_failures=module.gates(result),
+        gate_failures=module.gates(result, quick),
     )
 
 

@@ -40,7 +40,12 @@ class FederationAudit:
         )
 
     def describe(self) -> str:
-        return "federation audit: " + "; ".join(self.violations[:5])
+        problems = self.violations[:5] + [
+            f"pod {name}: {audit.describe()}"
+            for name, audit in self.pod_audits.items()
+            if not audit.clean
+        ]
+        return "federation audit: " + "; ".join(problems)
 
 
 def audit_federation(router, *, include_pod_audits: bool = True) -> FederationAudit:

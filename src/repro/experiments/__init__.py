@@ -10,7 +10,10 @@ Every experiment module implements the same protocol:
 * ``run_point(point)`` — one cell, top-level and picklable;
 * ``summarize(rows)`` — the per-point results, in point order, folded into
   the experiment's result (the object ``repro bench`` digests);
-* ``gates(result)`` — acceptance failures as messages (empty = pass);
+* ``gates(result, quick)`` — the paper's claims the result must show,
+  as failure messages (empty = pass); ``quick`` says the result is the
+  quick shape's, whose gates leave out the claims only the full shape
+  can show (a custom config is checked against every claim);
 * ``format_rows(result)`` — the printed artifact.
 
 :data:`REGISTRY` maps each CLI name to its module path, and the modules

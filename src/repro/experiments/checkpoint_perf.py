@@ -12,7 +12,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.analysis.tables import format_summary
-from repro.experiments.common import geometric_mean, make_pod, prepare_parent
+from repro.experiments.common import (
+    claim,
+    failed,
+    geometric_mean,
+    make_pod,
+    prepare_parent,
+)
 from repro.faas.functions import function_names
 from repro.parallel import SweepPoint
 from repro.rfork.registry import get_mechanism
@@ -74,8 +80,30 @@ def summarize(rows: list) -> list:
     return rows
 
 
-def gates(rows: list) -> list:
-    return []
+def gates(rows: list, quick: bool) -> list:
+    """CRIU checkpoints many times slower than both (paper ~10x); Mitosis
+    ~1.5x faster than CXLfork; CXLfork's image lives on the device and
+    is barely serialized, Mitosis' is a parent-local shadow, CRIU's is
+    fully serialized files."""
+    s = headline(rows)
+    by_mech: dict[str, list[CheckpointRow]] = {}
+    for row in rows:
+        by_mech.setdefault(row.mechanism, []).append(row)
+    return failed("checkpoint", [
+        claim("criu_vs_cxlfork", s["criu_vs_cxlfork"], ge=4.0),
+        claim("criu_vs_mitosis", s["criu_vs_mitosis"], ge=5.0),
+        claim("cxlfork_vs_mitosis", s["cxlfork_vs_mitosis"], ge=1.2, le=1.9),
+        (all(r.cxl_mb > 0 for r in by_mech["cxlfork"]),
+         "a CXLfork checkpoint holds no CXL memory"),
+        (all(r.local_shadow_mb > 0 for r in by_mech["mitosis-cxl"]),
+         "a Mitosis-CXL checkpoint has no local shadow"),
+        (all(r.cxl_mb == 0 for r in by_mech["mitosis-cxl"]),
+         "a Mitosis-CXL checkpoint holds CXL memory"),
+        (all(r.serialized_mb < 0.1 for r in by_mech["cxlfork"]),
+         "a CXLfork checkpoint serialized >= 0.1 MB"),
+        (all(r.serialized_mb > 10 for r in by_mech["criu-cxl"]),
+         "a CRIU-CXL checkpoint serialized <= 10 MB"),
+    ])
 
 
 def headline(rows: list) -> dict:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -195,6 +196,29 @@ def measure_cold_start(
     return measurement
 
 
+#: The comparisons a :func:`claim` bound may use, with their printed form.
+_BOUNDS = {
+    "ge": (operator.ge, ">="),
+    "le": (operator.le, "<="),
+    "gt": (operator.gt, ">"),
+    "lt": (operator.lt, "<"),
+}
+
+
+def claim(name: str, value: float, **bounds: float) -> tuple:
+    """One claim of the paper as ``(holds, message)``: ``value`` against
+    ``ge``/``le``/``gt``/``lt`` bounds, e.g. ``claim("x", 2.3, ge=2, le=4)``."""
+    holds = all(_BOUNDS[op][0](value, bound) for op, bound in bounds.items())
+    want = ", ".join(f"{_BOUNDS[op][1]} {bound:g}" for op, bound in bounds.items())
+    return holds, f"{name} = {value:.3f}, want {want}"
+
+
+def failed(experiment: str, claims) -> list:
+    """An experiment's gate messages: one per ``(holds, message)`` claim
+    that does not hold."""
+    return [f"{experiment}: {message}" for holds, message in claims if not holds]
+
+
 def geometric_mean(values) -> float:
     import math
 
@@ -212,5 +236,7 @@ __all__ = [
     "ColdStartMeasurement",
     "measure_cold_start",
     "child_local_bytes",
+    "claim",
+    "failed",
     "geometric_mean",
 ]

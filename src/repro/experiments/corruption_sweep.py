@@ -273,7 +273,7 @@ def summarize(rows: list) -> list:
     return rows
 
 
-def gates(rows: list) -> list:
+def gates(rows: list, quick: bool) -> list:
     """No leaks; no wrong bytes with checksums on; some with them off."""
     failures = []
     leaked = sum(r.leaked_frames for r in rows)

@@ -1,30 +1,22 @@
-"""Extension experiment: function density on a fixed local-memory budget.
+"""Extension experiment: cross-checkpoint dedup density.
 
 §2.2's promise: deduplicating Init/Read-only state in shared CXL memory
 "potentially increas[es] the number of function instances that can run on
-a fixed local memory budget", and §7.2 credits CXLfork with ~2x throughput
-at 25% memory for exactly this reason.
+a fixed local memory budget".  Per restored child, that claim is fig7's
+memory gates (a CXLfork child's local memory against CRIU-CXL's and
+Mitosis-CXL's).  This experiment measures the same sharing one level down:
+across *checkpoints*.
 
-We measure it directly: on one node with a fixed DRAM budget, keep
-restoring (and invoking) instances of a function until allocation fails,
-per mechanism.  We also report the pod-wide deduplication: bytes of
-checkpointed state shared on the device vs what N private copies would
-have cost.
-
-This budget experiment is :func:`run_budget`; the registered experiment is
-the cross-checkpoint dedup sweep below.
-
-**Cross-checkpoint dedup sweep**: the content-addressed
-chunk store (:mod:`repro.dedup`) shares identical pages across *different
-checkpoints* of one pod.  Each ``(function, dedup)`` grid point seals a
-sequence of checkpoint generations the way a busy pod would — two
-independent parents (cxlfork), then re-checkpoints of restored children
-with both frame-resident mechanisms (cxlfork rule-1/2 sharing, criu-cxl
-chunk adoption) — and measures device-resident growth vs the logical image
-bytes, cumulative instances-per-GB of checkpoint storage, and replication
-bytes-on-wire for a full ship vs the dedup delta protocol.  Points run on
-the deterministic executor, so ``--jobs 8`` merges bit-identical to
-``--jobs 1``.
+The content-addressed chunk store (:mod:`repro.dedup`) shares identical
+pages across different checkpoints of one pod.  Each ``(function, dedup)``
+grid point seals a sequence of checkpoint generations the way a busy pod
+would — two independent parents (cxlfork), then re-checkpoints of restored
+children with both frame-resident mechanisms (cxlfork rule-1/2 sharing,
+criu-cxl chunk adoption) — and measures device-resident growth vs the
+logical image bytes, cumulative instances-per-GB of checkpoint storage,
+and replication bytes-on-wire for a full ship vs the dedup delta protocol.
+Points run on the deterministic executor, so ``--jobs 8`` merges
+bit-identical to ``--jobs 1``.
 """
 
 from __future__ import annotations
@@ -32,106 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.tables import format_summary
-from repro.cxl.allocator import OutOfMemoryError
 from repro.experiments.common import make_pod, prepare_parent
 from repro.parallel import SweepPoint
 from repro.rfork.registry import get_mechanism
 from repro.sim.units import GIB, MIB
-
-
-@dataclass
-class DensityRow:
-    """How many live clones fit per mechanism."""
-
-    mechanism: str
-    function: str
-    instances: int
-    local_mb_per_instance: float
-    cxl_shared_mb: float
-
-    @property
-    def dedup_saved_mb(self) -> float:
-        """Local bytes avoided by sharing (vs each clone holding the
-        shared state privately)."""
-        return self.cxl_shared_mb * max(0, self.instances - 1)
-
-
-def run_budget(
-    function: str = "bert",
-    *,
-    dram_budget_bytes: int = 3 * GIB,
-    mechanisms=("criu-cxl", "mitosis-cxl", "cxlfork"),
-    max_instances: int = 256,
-) -> list:
-    """Per mechanism: restore and invoke clones of ``function`` on one
-    node until its DRAM budget runs out."""
-    rows: list[DensityRow] = []
-    for mech_name in mechanisms:
-        pod = make_pod(dram_bytes=dram_budget_bytes, cxl_bytes=32 * GIB)
-        parent = prepare_parent(pod, function)
-        mech = get_mechanism(mech_name, fabric=pod.fabric, cxlfs=pod.cxlfs)
-        checkpoint, _ = mech.checkpoint(parent.instance.task)
-        node = pod.target
-        children = []
-        try:
-            while len(children) < max_instances:
-                restored = mech.restore(checkpoint, node)
-                child = parent.workload.placed_plan_for(
-                    parent.instance, restored.task
-                )
-                parent.workload.invoke(child)
-                children.append(child)
-        except OutOfMemoryError:
-            pass
-        count = len(children)
-        local_mb = (
-            sum(c.task.mm.owned_local_pages for c in children)
-            * 4096 / MIB / count
-            if count
-            else 0.0
-        )
-        shared_mb = (
-            children[0].task.mm.cxl_mapped_pages() * 4096 / MIB if count else 0.0
-        )
-        rows.append(
-            DensityRow(
-                mechanism=mech_name,
-                function=function,
-                instances=count,
-                local_mb_per_instance=local_mb,
-                cxl_shared_mb=shared_mb,
-            )
-        )
-    return rows
-
-
-def summarize_budget(rows: list) -> dict:
-    by_mech = {row.mechanism: row for row in rows}
-    summary = {}
-    criu = by_mech.get("criu-cxl")
-    cxlfork = by_mech.get("cxlfork")
-    mitosis = by_mech.get("mitosis-cxl")
-    if criu and cxlfork and criu.instances:
-        summary["density_cxlfork_vs_criu"] = cxlfork.instances / criu.instances
-    if mitosis and cxlfork and mitosis.instances:
-        summary["density_cxlfork_vs_mitosis"] = cxlfork.instances / mitosis.instances
-    if cxlfork:
-        summary["cxlfork_dedup_saved_mb"] = cxlfork.dedup_saved_mb
-    return summary
-
-
-def format_budget(rows: list) -> str:
-    lines = [
-        f"{'mechanism':<12} {'instances':>10} {'localMB/inst':>13} "
-        f"{'sharedMB':>9} {'dedup saved MB':>15}"
-    ]
-    for row in rows:
-        lines.append(
-            f"{row.mechanism:<12} {row.instances:>10} "
-            f"{row.local_mb_per_instance:>13.1f} {row.cxl_shared_mb:>9.1f} "
-            f"{row.dedup_saved_mb:>15.0f}"
-        )
-    return "\n".join(lines)
 
 
 @dataclass
@@ -325,7 +221,7 @@ def summarize(rows: list) -> dict:
     return {"rows": rows, "summary": headline(rows)}
 
 
-def gates(result: dict) -> list:
+def gates(result: dict, quick: bool) -> list:
     """Every pod audits clean; dedup raises density and cuts wire bytes."""
     rows, summary = result["rows"], result["summary"]
     failures = []

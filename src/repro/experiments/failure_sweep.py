@@ -33,7 +33,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.common import Pod, PreparedParent, make_pod, prepare_parent
+from repro.experiments.common import (
+    Pod,
+    PreparedParent,
+    claim,
+    failed,
+    make_pod,
+    prepare_parent,
+)
 from repro.faults import FaultInjector, InjectedCrash, audit_pod
 from repro.os.kernel import NodeFailedError
 from repro.parallel import SweepPoint
@@ -249,10 +256,22 @@ def summarize(rows: list) -> list:
     return rows
 
 
-def gates(rows: list) -> list:
-    """A crash must never strand a frame, wherever it lands."""
+def gates(rows: list, quick: bool) -> list:
+    """A crash must never strand a frame, wherever it lands; and when the
+    source dies after checkpointing (§3.1), CXLfork and CRIU-CXL clones
+    still spawn, CXLfork's faster, while Mitosis' checkpoint dies with
+    its parent node."""
     leaked = sum(r.leaked_frames for r in rows)
-    return [f"failure sweep leaked {leaked} frames"] if leaked else []
+    between = {r.mechanism: r for r in rows if r.stage == "between"}
+    cxlfork, criu = between["cxlfork"], between["criu-cxl"]
+    return failed("failure-sweep", [
+        (not leaked, f"leaked {leaked} frames"),
+        (cxlfork.survived, "CXLfork did not survive its source node's crash"),
+        (criu.survived, "CRIU-CXL did not survive its source node's crash"),
+        (not between["mitosis-cxl"].survived,
+         "Mitosis-CXL survived its parent node's crash"),
+        claim("cxlfork recovery_ms", cxlfork.recovery_ms, lt=criu.recovery_ms),
+    ])
 
 
 def survival_rate(rows: list, mechanism: str) -> float:

@@ -21,6 +21,7 @@ from typing import Optional
 
 from repro.analysis.tables import format_summary
 from repro.cxl.topology import PodTopology
+from repro.experiments.common import claim, failed
 from repro.faas.functions import function_names
 from repro.faas.traces import TraceConfig, generate_trace
 from repro.os.fs.cxlfs import CxlFileSystem
@@ -36,8 +37,10 @@ ARMS = ("criu-cxl", "mitosis-cxl", "cxlfork-mow", "cxlfork")
 class Config:
     """One Fig. 10 campaign.
 
-    ``Config()`` is a reduced trace; the paper-scale campaign (150 RPS for
-    15 s at 100/50/25% memory) is ``benchmarks/test_bench_fig10.py``.
+    ``Config()`` is a reduced trace (80 RPS for 8 s at 100% memory).  The
+    paper-scale campaigns, 150 RPS for 15 s at 100% memory and 100 RPS
+    for 10 s at 25%, are ``benchmarks/test_bench_fig10.py``; each passes
+    :func:`gates`.
     """
 
     total_rps: float = 80.0
@@ -165,8 +168,39 @@ def summarize(rows: list) -> list:
     return [row for campaign in rows for row in campaign]
 
 
-def gates(rows: list) -> list:
-    return []
+def gates(rows: list, quick: bool) -> list:
+    """§7.2's claims at each memory level the result has.  Ample memory:
+    CXLfork cuts P99 vs CRIU-CXL (paper -70%) and Mitosis-CXL too (-51%),
+    dynamic CXLfork at or under CXLfork-MoW, and P50 comparable (full
+    shape only: the quick trace is too short for it).  25% memory:
+    CXLfork's P99 far under CRIU's and Mitosis', and equal to CXLfork-MoW
+    (HighMem blocks promotions)."""
+    s = headline(rows)
+    claims = []
+    if "mem100_cxlfork_p99_vs_criu" in s:
+        claims += [
+            claim("mem100_cxlfork_p99_vs_criu", s["mem100_cxlfork_p99_vs_criu"], le=0.75),
+            claim("mem100_mitosis-cxl_p99_vs_criu",
+                  s["mem100_mitosis-cxl_p99_vs_criu"], le=0.80),
+            claim("mem100_cxlfork_p99_vs_criu", s["mem100_cxlfork_p99_vs_criu"],
+                  le=s["mem100_cxlfork-mow_p99_vs_criu"] + 1e-9),
+        ]
+        if not quick:
+            claims += [
+                claim(f"mem100_{arm}_p50_vs_criu", s[f"mem100_{arm}_p50_vs_criu"],
+                      ge=0.85, le=1.2)
+                for arm in ("mitosis-cxl", "cxlfork")
+            ]
+    if "mem25_cxlfork_p99_vs_criu" in s:
+        cxlfork = s["mem25_cxlfork_p99_vs_criu"]
+        claims += [
+            claim("mem25_cxlfork_p99_vs_criu", cxlfork, le=0.5),
+            claim("mem25 cxlfork/cxlfork-mow p99",
+                  cxlfork / s["mem25_cxlfork-mow_p99_vs_criu"], ge=0.8, le=1.2),
+            claim("mem25_cxlfork_p99_vs_criu", cxlfork,
+                  lt=s["mem25_mitosis-cxl_p99_vs_criu"]),
+        ]
+    return failed("fig10", claims)
 
 
 def headline(rows: list) -> dict:

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.experiments.common import make_pod
+from repro.experiments.common import claim, failed, make_pod
 from repro.faas.functions import function_names
 from repro.faas.workload import FunctionWorkload
 from repro.os.mm.pte import PteFlags
@@ -100,8 +100,26 @@ def summarize(rows: list) -> list:
     return rows
 
 
-def gates(rows: list) -> list:
-    return []
+def gates(rows: list, quick: bool) -> list:
+    """Init dominates, then Read-only, and Read/Write is small (paper
+    72.2 / 23 / 4.8%).  The Init and Read-only averages need all ten
+    functions, so they are checked at the full shape only."""
+    avg = averages(rows)
+    claims = [
+        (avg["init"] > avg["read_only"] > avg["read_write"],
+         "average init > read-only > read/write does not hold"),
+        claim("average read_write", avg["read_write"], ge=0.02, le=0.08),
+    ]
+    claims += [
+        claim(f"{row.function} init+read_only", row.init_frac + row.read_only_frac, ge=0.85)
+        for row in rows
+    ]
+    if not quick:
+        claims += [
+            claim("average init", avg["init"], ge=0.60, le=0.80),
+            claim("average read_only", avg["read_only"], ge=0.15, le=0.35),
+        ]
+    return failed("fig1", claims)
 
 
 def averages(rows: list) -> dict:

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 from repro.experiments.common import (
     ColdStartMeasurement,
+    claim,
+    failed,
     make_pod,
     measure_cold_start,
     prepare_parent,
@@ -93,8 +95,20 @@ def summarize(rows: list) -> Fig3Result:
     )
 
 
-def gates(result: Fig3Result) -> list:
-    return []
+def gates(result: Fig3Result, quick: bool) -> list:
+    """CRIU's restore alone outlasts a local fork + execution; CRIU is
+    slowest end to end and its child, sharing nothing, the largest."""
+    r = result
+    return failed("fig3", [
+        claim("criu_restore_vs_localfork_total", r.criu_restore_vs_localfork_total, gt=1.5),
+        claim("mitosis_total_vs_localfork", r.mitosis_total_vs_localfork, gt=1.4),
+        (r.criu_total_ms > r.mitosis_total_ms > r.localfork_total_ms,
+         "total time: CRIU-CXL > Mitosis-CXL > local fork does not hold"),
+        claim("criu_mem_vs_localfork", r.criu_mem_vs_localfork, gt=10),
+        claim("mitosis_mem_vs_localfork", r.mitosis_mem_vs_localfork, gt=4),
+        (r.criu_mb > r.mitosis_mb > r.localfork_mb,
+         "child memory: CRIU-CXL > Mitosis-CXL > local fork does not hold"),
+    ])
 
 
 def format_rows(result: Fig3Result) -> str:

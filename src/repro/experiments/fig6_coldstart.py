@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.analysis.tables import format_summary
-from repro.experiments.common import make_pod
-from repro.faas.container import ContainerFactory
+from repro.experiments.common import claim, failed, make_pod
+from repro.faas.container import GHOST_CONTAINER_BYTES, ContainerFactory
 from repro.faas.functions import function_names
 from repro.faas.workload import FunctionWorkload
 from repro.parallel import SweepPoint
@@ -72,8 +72,18 @@ def summarize(rows: list) -> list:
     return rows
 
 
-def gates(rows: list) -> list:
-    return []
+def gates(rows: list, quick: bool) -> list:
+    """Container creation ~130 ms and nearly constant; state init spans
+    the paper's 250-500 ms; a bare container holds only 512 KB."""
+    s = headline(rows)
+    return failed("fig6", [
+        claim("container_create_ms_mean", s["container_create_ms_mean"], ge=100, le=160),
+        claim("container_create_ms_spread", s["container_create_ms_spread"], le=10),
+        claim("state_init_ms_min", s["state_init_ms_min"], ge=200, le=300),
+        claim("state_init_ms_max", s["state_init_ms_max"], ge=400, le=600),
+        (GHOST_CONTAINER_BYTES == 512 * 1024,
+         f"GHOST_CONTAINER_BYTES = {GHOST_CONTAINER_BYTES}, want 512 KiB"),
+    ])
 
 
 def headline(rows: list) -> dict:

@@ -15,6 +15,8 @@ from typing import Optional
 
 from repro.analysis.tables import format_summary
 from repro.experiments.common import (
+    claim,
+    failed,
     geometric_mean,
     make_pod,
     measure_cold_start,
@@ -88,8 +90,47 @@ def summarize(rows: list) -> list:
     return rows
 
 
-def gates(rows: list) -> list:
-    return []
+def gates(rows: list, quick: bool) -> list:
+    """The §7.1 claims.  Cold start 8-20x CXLfork and CRIU's 200 ms
+    restores need BERT, so those three are checked at the full shape only."""
+    s = headline(rows)
+    claims = [
+        # Fig. 7a: CXLfork is close to a local fork (paper ~1.14x) and
+        # beats CRIU-CXL (paper 2.26x) and Mitosis-CXL (paper 1.40x).
+        claim("cxlfork_vs_localfork", s["cxlfork_vs_localfork"], ge=0.95, le=1.35),
+        claim("criu_vs_cxlfork", s["criu_vs_cxlfork"], ge=2.0, le=4.0),
+        claim("mitosis_vs_cxlfork", s["mitosis_vs_cxlfork"], ge=1.25, le=1.9),
+        (s["criu_vs_cxlfork"] > s["mitosis_vs_cxlfork"] > 1.0,
+         "ordering CRIU-CXL > Mitosis-CXL > CXLfork does not hold"),
+        # Restore latency (paper: CXLfork <= 6.1 ms, CRIU 16-423 ms,
+        # Mitosis <= 15 ms).
+        claim("cxlfork_restore_max_ms", s["cxlfork_restore_max_ms"], le=8.0),
+        claim("criu_restore_min_ms", s["criu_restore_min_ms"], ge=8.0),
+        claim("mitosis_restore_max_ms", s["mitosis_restore_max_ms"], le=25.0),
+        # Fig. 7b: CRIU's child costs a cold start's memory, Mitosis' about
+        # half of that, CXLfork's a fraction of both (paper 13%).  At the
+        # full shape these are also §2.2's density: >= 5x the instances
+        # of CRIU-CXL and >= 2x those of Mitosis-CXL per DRAM budget.
+        claim("mem_criu_vs_cold", s["mem_criu_vs_cold"], ge=0.85, le=1.15),
+        claim("mem_mitosis_vs_criu", s["mem_mitosis_vs_criu"], ge=0.2, le=0.55),
+        claim("mem_cxlfork_vs_criu", s["mem_cxlfork_vs_criu"], le=0.2),
+        claim("mem_cxlfork_vs_mitosis", s["mem_cxlfork_vs_mitosis"], le=0.5),
+    ]
+    # Mitosis' lazy copies cost 42%/54% of BFS/Bert execution.
+    claims += [
+        claim(f"{row.function} mitosis fault share", row.fault_ms / row.total_ms,
+              ge=0.30, le=0.65)
+        for row in rows
+        if row.mechanism == "mitosis-cxl" and row.function in ("bfs", "bert")
+    ]
+    if not quick:
+        claims += [
+            claim("cold_vs_cxlfork", s["cold_vs_cxlfork"], ge=8, le=20),
+            claim("criu_restore_max_ms", s["criu_restore_max_ms"], ge=200.0),
+            claim("criu/cxlfork max restore",
+                  s["criu_restore_max_ms"] / s["cxlfork_restore_max_ms"], gt=50),
+        ]
+    return failed("fig7", claims)
 
 
 def headline(rows: list) -> dict:

@@ -18,7 +18,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.analysis.tables import format_summary
-from repro.experiments.common import child_local_bytes, make_pod, prepare_parent
+from repro.experiments.common import (
+    child_local_bytes,
+    claim,
+    failed,
+    make_pod,
+    prepare_parent,
+)
 from repro.faas.functions import function_names
 from repro.parallel import SweepPoint
 from repro.rfork.cxlfork import CxlFork
@@ -98,8 +104,34 @@ def summarize(rows: list) -> list:
     return rows
 
 
-def gates(rows: list) -> list:
-    return []
+def gates(rows: list, quick: bool) -> list:
+    """MoA trades cold time and memory for warm time; Hybrid keeps MoA's
+    warm time at no more cold time or memory; only the cache-exceeding
+    functions (BFS, Bert) suffer MoW's CXL-resident read-only state."""
+    s = headline(rows)
+    claims = [
+        claim("moa_warm_vs_mow", s["moa_warm_vs_mow"], ge=0.85, le=0.99),
+        claim("moa_cold_vs_mow", s["moa_cold_vs_mow"], ge=1.05, le=1.6),
+        claim("moa_mem_vs_mow", s["moa_mem_vs_mow"], ge=2.5),
+        claim("hybrid_cold_vs_mow", s["hybrid_cold_vs_mow"], le=s["moa_cold_vs_mow"] + 0.01),
+        claim("hybrid_warm_vs_mow", s["hybrid_warm_vs_mow"], le=s["moa_warm_vs_mow"] + 0.05),
+        claim("hybrid_mem_vs_mow", s["hybrid_mem_vs_mow"], le=s["moa_mem_vs_mow"] + 0.01),
+    ]
+    for fn in ("bfs", "bert"):
+        for order in ("warm", "mem"):
+            key = f"{fn}_{order}_order_ok"
+            if key in s:
+                claims.append((s[key], f"{fn}: {order} order MoW / Hybrid / MoA does not hold"))
+    by_fn: dict[str, dict[str, Fig8Row]] = {}
+    for row in rows:
+        by_fn.setdefault(row.function, {})[row.policy] = row
+    for fn, cells in by_fn.items():
+        penalty = cells["mow"].warm_ms / cells["moa"].warm_ms
+        if fn in ("bfs", "bert"):
+            claims.append(claim(f"{fn} MoW/MoA warm", penalty, gt=1.15))
+        else:
+            claims.append(claim(f"{fn} MoW/MoA warm", penalty, lt=1.10))
+    return failed("fig8", claims)
 
 
 def headline(rows: list) -> dict:

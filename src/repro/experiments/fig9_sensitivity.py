@@ -19,7 +19,13 @@ from dataclasses import dataclass
 
 from repro.analysis.tables import format_summary
 from repro.cxl.latency import MemoryLatencyModel
-from repro.experiments.common import make_pod, measure_cold_start, prepare_parent
+from repro.experiments.common import (
+    claim,
+    failed,
+    make_pod,
+    measure_cold_start,
+    prepare_parent,
+)
 from repro.parallel import SweepPoint
 
 #: The sweep points (round-trip ns); 400 ≈ the real device, 100 ≈ local.
@@ -103,8 +109,32 @@ def summarize(rows: list) -> list:
     return rows
 
 
-def gates(rows: list) -> list:
-    return []
+def gates(rows: list, quick: bool) -> list:
+    """Lower CXL latency speeds up warm BFS/Bert only (still penalized at
+    200 ns); cold time falls with latency, and at the lowest CXLfork
+    beats a local fork for the big functions.  Each claim applies to the
+    functions and latencies the result has."""
+    s = headline(rows)
+    by_fn: dict[str, list[Fig9Row]] = {}
+    for row in rows:
+        by_fn.setdefault(row.function, []).append(row)
+    claims = []
+    for fn, points in by_fn.items():
+        if fn in ("bfs", "bert"):
+            claims.append(claim(f"{fn}_warm_gain", s[f"{fn}_warm_gain"], gt=0.10))
+            claims += [
+                claim(f"{fn} warm_relative at 200 ns", r.warm_relative, gt=1.05)
+                for r in points if r.cxl_latency_ns == 200.0
+            ]
+        elif fn in ("float", "json", "cnn"):
+            claims.append(claim(f"{fn}_warm_gain", s[f"{fn}_warm_gain"], lt=0.10))
+        if fn in ("cnn", "bfs", "bert"):
+            claims.append(claim(f"{fn}_cold_at_low_latency",
+                                s[f"{fn}_cold_at_low_latency"], lt=1.0))
+        colds = [r.cold_relative for r in sorted(points, key=lambda r: r.cxl_latency_ns)]
+        claims.append((colds == sorted(colds),
+                       f"{fn}: cold time does not fall as CXL latency drops"))
+    return failed("fig9", claims)
 
 
 def headline(rows: list) -> dict:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from repro.analysis.tables import format_summary
 from repro.cxl.topology import PodTopology
+from repro.experiments.common import claim, failed
 from repro.faas.traces import TraceConfig, generate_trace
 from repro.parallel import SweepPoint
 from repro.porter.autoscaler import CxlPorter, PorterConfig
@@ -109,8 +110,19 @@ def summarize(rows: list) -> list:
     return rows
 
 
-def gates(rows: list) -> list:
-    return []
+def gates(rows: list, quick: bool) -> list:
+    """Short windows cost little P99, because CXLfork restores are
+    milliseconds (§5).  That they restore more often yet hold less memory
+    shows only on the full trace: the quick one restores as often at
+    every window."""
+    s = headline(rows)
+    claims = [claim("p99_ratio_short_vs_long", s["p99_ratio_short_vs_long"], lt=1.15)]
+    if not quick:
+        claims += [
+            claim("restore_ratio_short_vs_long", s["restore_ratio_short_vs_long"], gt=1.5),
+            claim("memory_ratio_short_vs_long", s["memory_ratio_short_vs_long"], lt=0.7),
+        ]
+    return failed("keepalive", claims)
 
 
 def headline(rows: list) -> dict:

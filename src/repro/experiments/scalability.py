@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from repro.analysis.tables import format_summary
 from repro.cxl.bandwidth import BandwidthTracker
 from repro.cxl.topology import PodTopology
+from repro.experiments.common import claim, failed
 from repro.faas.workload import FunctionWorkload
 from repro.parallel import SweepPoint
 from repro.rfork.cxlfork import CxlFork
@@ -133,8 +134,23 @@ def summarize(rows: list) -> list:
     return rows
 
 
-def gates(rows: list) -> list:
-    return []
+def gates(rows: list, quick: bool) -> list:
+    """Bandwidth-aware tiering keeps clones near their smallest-pod speed
+    by keeping the fabric cooler, at the price of local memory.  MoW's
+    collapse (> 2x) needs the 16-node pod: full shape only."""
+    s = headline(rows)
+    mow = [r for r in rows if r.policy == "mow"][0]
+    aware = [r for r in rows if r.policy == "bandwidth-aware"][0]
+    claims = [
+        claim("bandwidth-aware_slowdown", s["bandwidth-aware_slowdown"], lt=1.3),
+        claim("bandwidth-aware_peak_utilization", s["bandwidth-aware_peak_utilization"],
+              lt=s["mow_peak_utilization"]),
+        claim("bandwidth-aware local_mb_per_clone", aware.local_mb_per_clone,
+              gt=2 * mow.local_mb_per_clone),
+    ]
+    if not quick:
+        claims.append(claim("mow_slowdown", s["mow_slowdown"], gt=2.0))
+    return failed("scalability", claims)
 
 
 def headline(rows: list) -> dict:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.experiments.common import failed
 from repro.faas.functions import TABLE1
 from repro.parallel import SweepPoint
 
@@ -30,8 +31,15 @@ def summarize(rows: list) -> list:
     return rows[0]
 
 
-def gates(result: list) -> list:
-    return []
+def gates(rows: list, quick: bool) -> list:
+    """Table 1's ten functions, BERT the largest at 630 MB, Float 24 MB."""
+    footprints = {name: mb for name, _, mb in rows}
+    return failed("table1", [
+        (len(rows) == 10, f"{len(rows)} functions, want 10"),
+        (footprints.get("bert") == 630, f"bert = {footprints.get('bert')} MB, want 630"),
+        (footprints.get("float") == 24, f"float = {footprints.get('float')} MB, want 24"),
+        (max(footprints.values()) == footprints.get("bert"), "bert is not the largest footprint"),
+    ])
 
 
 def format_rows(rows: list) -> str:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.tables import format_summary
-from repro.experiments.common import child_local_bytes, make_pod
+from repro.experiments.common import child_local_bytes, claim, failed, make_pod
 from repro.faas.functions import FunctionSpec
 from repro.faas.workload import FunctionWorkload
 from repro.parallel import SweepPoint
@@ -107,8 +107,17 @@ def summarize(rows: list) -> list:
     return rows
 
 
-def gates(rows: list) -> list:
-    return []
+def gates(rows: list, quick: bool) -> list:
+    """Cloning stays instant whatever the write share, while the memory
+    savings blunt as it grows (§8)."""
+    s = headline(rows)
+    return failed("write-heavy", [
+        claim("restore_spread", s["restore_spread"], lt=1.2),
+        (s["savings_monotonically_blunted"],
+         "child local memory does not grow with the write share"),
+        claim("local_frac_read_mostly", s["local_frac_read_mostly"], lt=0.15),
+        claim("local_frac_write_heavy", s["local_frac_write_heavy"], gt=0.45),
+    ])
 
 
 def headline(rows: list) -> dict:

@@ -208,8 +208,20 @@ class Span:
         return child
 
     def finish(self) -> None:
-        """Close the span now (for call sites that cannot use ``with``)."""
-        self.end_ns = int(self.clock.now)
+        """Close the span now (for call sites that cannot use ``with``).
+
+        A span cut short (a crash aborting the clock advance that would
+        have paid for its phases) cuts its phases at its end, so they
+        still tile it: a phase runs until the crash, and one laid after it
+        takes no time."""
+        end = self.end_ns = int(self.clock.now)
+        if self.start_ns + int(round(self._elapsed)) > end:
+            for child in reversed(self.tracer._spans):
+                if child is self:
+                    break
+                if child.parent_id == self.span_id:
+                    child.start_ns = min(child.start_ns, end)
+                    child.end_ns = min(child.end_ns, end)
         self.tracer._close(self)
 
     def __enter__(self) -> "Span":

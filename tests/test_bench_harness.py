@@ -208,7 +208,7 @@ class TestRerun:
             return [len(runs)]
 
         monkeypatch.setattr(bench.experiments, "run", run)
-        monkeypatch.setattr(fig7_performance, "gates", lambda result: [])
+        monkeypatch.setattr(fig7_performance, "gates", lambda result, quick: [])
         return runs
 
     def test_divergent_update_rerun_raises(self, drifting):

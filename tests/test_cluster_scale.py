@@ -60,3 +60,19 @@ def test_federation_audit_clean_after_replicated_run():
     assert report.clean
     assert report.pods_audited == 2
     assert report.checkpoints_checked == 2  # original + pushed replica
+
+
+def test_dirty_federation_audit_fails_the_point(monkeypatch):
+    """A federated point whose ownership audit is dirty raises instead of
+    returning a row."""
+    import pytest
+
+    from repro.check import CheckFailure
+    from repro.check.cluster import FederationAudit
+
+    monkeypatch.setattr(
+        cluster_scale, "audit_federation",
+        lambda router: FederationAudit(violations=["cid=1 backed by a foreign fabric"]),
+    )
+    with pytest.raises(CheckFailure, match="foreign fabric"):
+        cluster_scale.run_federated(cluster_scale.Config.quick(), 20.0)

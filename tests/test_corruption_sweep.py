@@ -112,11 +112,11 @@ class TestGates:
             self._row(),
             self._row(policy="none", checksums=False, wrong_bytes=4096),
         ]
-        assert corruption_sweep.gates(rows) == []
+        assert corruption_sweep.gates(rows, quick=False) == []
 
     def test_control_serving_no_wrong_bytes_fails(self):
         rows = [self._row(), self._row(policy="none", checksums=False)]
-        (message,) = corruption_sweep.gates(rows)
+        (message,) = corruption_sweep.gates(rows, quick=False)
         assert "checksums-off control" in message
 
     def test_wrong_bytes_with_checksums_and_leaks_fail(self):
@@ -124,7 +124,7 @@ class TestGates:
             self._row(wrong_bytes=4096, leaked_frames=2),
             self._row(policy="none", checksums=False, wrong_bytes=4096),
         ]
-        failures = corruption_sweep.gates(rows)
+        failures = corruption_sweep.gates(rows, quick=False)
         assert len(failures) == 2
         assert "leaked 2 frames" in failures[0]
         assert "checksums on" in failures[1]

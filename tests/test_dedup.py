@@ -5,7 +5,6 @@ smoke (satellites of the content-addressed checkpoint store)."""
 import numpy as np
 import pytest
 
-from repro.bench import results_digest
 from repro.check import CheckFailure, mutation
 from repro.check.invariants import check_pod
 from repro.check.oracle import DifferentialOracle
@@ -16,7 +15,7 @@ from repro.experiments import density
 from repro.experiments.common import make_pod, prepare_parent
 from repro.rfork.registry import get_mechanism
 from repro.serial.codec import Codec
-from repro.sim.units import GIB, MIB
+from repro.sim.units import GIB
 
 
 @pytest.fixture
@@ -252,22 +251,6 @@ class TestDedupOffRegression:
         wire = wire_image(ckpt)
         assert "zero_elided" not in wire
         assert all("codes" not in entry for entry in wire["leaves"])
-
-    def test_classic_density_rows_unchanged_by_dedup_state(self):
-        kwargs = dict(
-            dram_budget_bytes=256 * MIB,
-            mechanisms=("cxlfork",),
-            max_instances=4,
-        )
-        baseline = results_digest(density.run_budget("float", **kwargs))
-        with DEDUP.force(True):
-            # Populate an index in *some* pod; run_budget() builds its own
-            # pods and must not see it.
-            seeded = make_pod(dram_bytes=1 * GIB, cxl_bytes=4 * GIB)
-            seeded.fabric.chunk_index.register(
-                701, int(seeded.fabric.alloc_frames(1)[0])
-            )
-        assert results_digest(density.run_budget("float", **kwargs)) == baseline
 
     def test_cross_rows_dedup_off_share_nothing(self):
         rows = experiments.run("density", density.Config.quick())["rows"]

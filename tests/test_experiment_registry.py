@@ -28,11 +28,37 @@ def test_experiment_conforms_to_protocol(name, capsys):
     assert module.points(quick), f"{name} has an empty quick grid"
 
     result = experiments.run(name, quick)
-    assert module.gates(result) == []
+    assert module.gates(result, quick=True) == []
     assert module.format_rows(result)
 
     assert main(["run", name, "--quick", "--jobs", "2"]) == 0
     assert "FAIL" not in capsys.readouterr().out
+
+
+class TestBrokenClaim:
+    """A claim that stops holding is caught, by name, wherever fig7 runs."""
+
+    def test_gates_name_the_broken_claim(self):
+        module = experiments.load("fig7")
+        rows = experiments.run("fig7", module.Config.quick())
+        assert module.gates(rows, quick=True) == []
+        # CRIU-CXL's restores take CXLfork's time, and CXLfork's CRIU's.
+        by_cell = {(r.function, r.mechanism): r for r in rows}
+        for fn in {r.function for r in rows}:
+            criu, cxlfork = by_cell[fn, "criu-cxl"], by_cell[fn, "cxlfork"]
+            criu.restore_ms, cxlfork.restore_ms = cxlfork.restore_ms, criu.restore_ms
+        failures = module.gates(rows, quick=True)
+        assert any(m.startswith("fig7: cxlfork_restore_max_ms") for m in failures)
+        assert any(m.startswith("fig7: criu_restore_min_ms") for m in failures)
+
+    def test_run_prints_fail_and_exits_1(self, monkeypatch, capsys):
+        module = experiments.load("fig7")
+        headline = module.headline
+        monkeypatch.setattr(
+            module, "headline", lambda rows: {**headline(rows), "criu_vs_cxlfork": 1.0}
+        )
+        assert main(["run", "fig7", "--quick"]) == 1
+        assert "FAIL: fig7: criu_vs_cxlfork = 1.000, want >= 2, <= 4" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,8 @@
 """Experiment modules: reduced-scale smoke tests of run/headline/format.
 
-The benchmarks run the full-scale versions and assert the paper shapes;
+Each experiment's gates assert the paper's shapes wherever it runs;
 these just guarantee every experiment's plumbing works on a small input
-(so a refactor can't silently break a figure between benchmark runs).
+(so a refactor can't silently break a figure between full runs).
 """
 
 import pytest

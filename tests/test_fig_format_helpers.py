@@ -3,7 +3,6 @@
 import pytest
 
 from repro.experiments import (
-    density,
     failure_sweep,
     fig7_performance,
     fig9_sensitivity,
@@ -32,15 +31,6 @@ class TestFormatters:
         )
         text = fig9_sensitivity.format_rows([row])
         assert "bfs" in text and "200" in text and "1.080" in text
-
-    def test_density_format(self):
-        row = density.DensityRow(
-            mechanism="cxlfork", function="bert", instances=98,
-            local_mb_per_instance=31.1, cxl_shared_mb=598.9,
-        )
-        text = density.format_budget([row])
-        assert "98" in text
-        assert f"{row.dedup_saved_mb:.0f}" in text
 
     def test_failure_format(self):
         row = failure_sweep.SweepRow(

@@ -84,6 +84,19 @@ class TestSpans:
         assert attach.duration_ns + fixup.duration_ns == span.duration_ns
         assert attach.parent_id == span.span_id
 
+    def test_span_cut_short_cuts_its_phases(self, traced):
+        """A crash stops the clock before it pays for the noted phases:
+        they end where the span ends, so they still tile it."""
+        clock = Clock()
+        with traced.span("checkpoint", clock=clock) as span:
+            span.add_phase("copy", 80)
+            span.add_phase("seal", 40)
+            clock.advance(50)
+        copy, seal = traced.spans("copy")[0], traced.spans("seal")[0]
+        assert (copy.start_ns, copy.end_ns) == (0, 50)
+        assert (seal.start_ns, seal.end_ns) == (50, 50)
+        assert UNATTRIBUTED not in Breakdown.from_tracer(traced).group("checkpoint").phases
+
     def test_add_span_records_background_work(self, traced):
         clock = Clock()
         traced.add_span("prefetch", 500, 200, clock=clock, pages=17)
@@ -340,6 +353,23 @@ class TestInstrumentation:
         assert [s.parent_id for s in traced.spans("cxlfork.prefetch_dirty")] == (
             [None] if prefetch else []
         )
+
+    def test_failure_sweep_phases_tile_their_spans(self, traced):
+        """Checkpoints and restores a crash cuts short show no negative
+        (unattributed) row: every phase row is non-negative."""
+        from repro import experiments
+
+        module = experiments.load("failure-sweep")
+        experiments.run("failure-sweep", module.Config.quick())
+        breakdown = Breakdown.from_tracer(traced)
+        assert breakdown.group("cxlfork.checkpoint") is not None
+        negative = [
+            (group.name, row.phase, row.total_ns)
+            for group in breakdown.groups.values()
+            for row in group.phases.values()
+            if row.total_ns < 0
+        ]
+        assert negative == []
 
     def test_kernel_counters_emitted(self, traced, pod):
         kernel = pod.source.kernel

@@ -58,7 +58,6 @@ ALLOWED = {
     # -- whole modules owned by a ROADMAP item
     "ras/scrub.py": "ROADMAP item 4: the fuzzer's poison/scrub op family will run it",
     "dedup/selftest.py": "ROADMAP item 4: deleted once the fuzzer's dedup ops replace it",
-    "check/cluster.py": "ROADMAP item 3: cluster-scale points will gate on audit_federation",
     # -- ROADMAP item 4: the fuzzer's poison/dedup/replicate lifecycle
     "cluster/router.py:ClusterRouter._reroute":
         "ROADMAP item 4: the porter drop hook the replicate ops will reach",
@@ -74,11 +73,6 @@ ALLOWED = {
     "dedup/seal.py:ChunkInterner.abort": "ROADMAP item 4: a seal cut short",
     "faults/injector.py:FaultInjector.poison_at": "ROADMAP item 4: timed poison",
     "faults/injector.py:FaultInjector.poison_allocated": "ROADMAP item 4: timed poison's frame pick",
-    # -- ROADMAP item 3: density's budget mode
-    "experiments/density.py:run_budget": "ROADMAP item 3: density's budget mode",
-    "experiments/density.py:summarize_budget": "ROADMAP item 3: density's budget mode",
-    "experiments/density.py:format_budget": "ROADMAP item 3: density's budget mode",
-    "experiments/density.py:DensityRow.dedup_saved_mb": "ROADMAP item 3: density's budget mode",
     # -- error handlers and reclaim paths
     "cluster/router.py:ClusterRouter._resubmit":
         "error handler: a pod that failed between routing and delivery",
@@ -106,6 +100,7 @@ ALLOWED = {
         "fault path: a read fault under attached leaves, which the prefetch fills first",
     # -- checkers and reports: they run when a check fails
     "check/__init__.py:Checker.fail": "checker: a failed check",
+    "check/cluster.py:FederationAudit.describe": "checker report: an unclean federation audit",
     "check/fuzz.py:ScenarioResult.ok": "checker: the fuzzer's verdict, read by tests",
     "check/fuzz.py:_MechanismRun.crash_bystander": "checker: a fuzzer op the probe's seed does not draw",
     "check/invariants.py:InvariantViolation.describe": "checker report: a violation",
