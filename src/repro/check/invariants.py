@@ -40,6 +40,7 @@ import numpy as np
 
 from repro.check import CHECK, CheckFailure
 from repro.faults.audit import audit_pod
+from repro.os.mm.pagetable import PTES_PER_LEAF
 from repro.os.mm.pte import PTE_FRAME_SHIFT, PteFlags
 from repro.os.mm.vma import VmaPerms
 
@@ -84,11 +85,22 @@ class InvariantReport:
         return "\n".join(lines)
 
 
+def _first_per_vma(slot: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Positions of the first ``mask`` PTE of each VMA (``slot`` holds each
+    PTE's VMA position, ascending)."""
+    idx = np.flatnonzero(mask)
+    _, first = np.unique(slot[idx], return_index=True)
+    return idx[first]
+
+
 def check_task(task, report: Optional[InvariantReport] = None) -> InvariantReport:
     """Per-task MMU invariants (families 1 and 2 above).
 
     Called standalone (``report=None``) this is its own sweep and accounts
     to :data:`CHECK`; inside :func:`check_pod` the caller accounts instead.
+    One pass over the task's present PTEs; violations are reported per VMA
+    in address order, at most one per kind and VMA (the first vpn), except
+    non-fabric CXL frames: each among a VMA's first 1024 CXL mappings.
     """
     standalone = report is None
     report = report if report is not None else InvariantReport()
@@ -98,103 +110,102 @@ def check_task(task, report: Optional[InvariantReport] = None) -> InvariantRepor
     holds = backing is None or backing.holds_frame_refs
     who = f"{task.comm}/{task.pid}@{node.name}"
 
-    vma_present = 0
-    for vma in mm.vmas:
-        ptes = mm.pagetable.gather_ptes(vma.start_vpn, vma.npages)
-        present = (ptes & _P) != 0
-        n_present = int(np.count_nonzero(present))
-        vma_present += n_present
-        if n_present == 0:
-            continue
-        idx = np.nonzero(present)[0]
-        pp = ptes[present]
-        frames = (pp >> np.int64(PTE_FRAME_SHIFT)).astype(np.int64)
-        hw_w = (pp & _W) != 0
-        on_cxl = (pp & _CXL) != 0
-        is_cow = (pp & _COW) != 0
+    leaves = list(mm.pagetable.leaves())
+    table = np.stack([leaf.ptes for _, leaf in leaves]) if leaves else \
+        np.zeros((0, PTES_PER_LEAF), dtype=np.int64)
+    present = (table & _P) != 0
+    rows, cols = np.nonzero(present)
+    leaf_index = np.array([i for i, _ in leaves], dtype=np.int64)
+    vpns = leaf_index[rows] * PTES_PER_LEAF + cols
+    ptes = table[rows, cols]
 
-        both = hw_w & is_cow
-        if np.any(both):
-            vpn = vma.start_vpn + int(idx[both][0])
-            report.add("pte-flags", who, f"WRITE and COW both set at vpn {vpn}")
-        if np.any(hw_w) and not (vma.perms & VmaPerms.WRITE):
-            vpn = vma.start_vpn + int(idx[hw_w][0])
-            report.add(
-                "pte-flags", who,
-                f"hardware-writable PTE in read-only VMA at vpn {vpn}",
-            )
-        if np.any(hw_w & on_cxl):
-            vpn = vma.start_vpn + int(idx[hw_w & on_cxl][0])
-            report.add(
-                "tlb-proxy", who,
-                f"writable mapping of an immutable CXL replica at vpn {vpn}",
-            )
+    # Each present PTE's VMA.  VMAs cannot overlap (insert() rejects that).
+    vmas = list(mm.vmas)
+    starts = np.array([v.start_vpn for v in vmas], dtype=np.int64)
+    ends = np.array([v.end_vpn for v in vmas], dtype=np.int64)
+    writable = np.array(
+        [bool(v.perms & VmaPerms.WRITE) for v in vmas], dtype=bool
+    )
+    slot = np.searchsorted(starts, vpns, side="right") - 1
+    inside = slot >= 0
+    inside[inside] = vpns[inside] < ends[slot[inside]]
+    outside = int(vpns.size - np.count_nonzero(inside))
+    slot, vpns, ptes = slot[inside], vpns[inside], ptes[inside]
+    frames = (ptes >> np.int64(PTE_FRAME_SHIFT)).astype(np.int64)
+    hw_w = (ptes & _W) != 0
+    on_cxl = (ptes & _CXL) != 0
+    is_cow = (ptes & _COW) != 0
 
-        # Frame-ownership cross-check: the flag decides which pool must own
-        # (and refcount) the frame.
-        cxl_frames = frames[on_cxl]
-        for frame in cxl_frames[:1024]:
-            if not node.fabric.is_cxl_frame(int(frame)):
-                report.add(
-                    "frame-owner", who,
-                    f"CXL-flagged PTE maps non-fabric frame {int(frame)}",
-                )
-        if cxl_frames.size and holds:
-            pool = node.fabric.device.frames
-            counts = pool.refcounts(cxl_frames)
-            if np.any(counts <= 0) and not pool.quarantined:
-                frame = int(cxl_frames[np.nonzero(counts <= 0)[0][0]])
-                report.add("frame-owner", who, f"CXL frame {frame} mapped but freed")
-        local_frames = frames[~on_cxl]
-        if local_frames.size and not node.dram.quarantined:
-            bad_range = (local_frames < node.dram.base) | (
-                local_frames >= node.dram.limit
-            )
-            if np.any(bad_range):
-                frame = int(local_frames[np.nonzero(bad_range)[0][0]])
-                report.add(
-                    "frame-owner", who,
-                    f"local PTE maps frame {frame} outside {node.name}'s DRAM pool",
-                )
-            else:
-                counts = node.dram.refcounts(local_frames)
-                if np.any(counts <= 0):
-                    frame = int(local_frames[np.nonzero(counts <= 0)[0][0]])
-                    report.add(
-                        "frame-owner", who, f"local frame {frame} mapped but freed"
-                    )
-                # Shootdown soundness: hardware-writable implies exclusive.
-                local_w = hw_w[~on_cxl]
-                stale = local_w & (counts > 1)
-                if np.any(stale):
-                    pos = np.nonzero(stale)[0][0]
-                    frame = int(local_frames[pos])
-                    report.add(
-                        "tlb-proxy", who,
-                        f"writable mapping of shared frame {frame} "
-                        f"(refcount {int(counts[pos])}) — missed CoW/shootdown",
-                    )
+    found = []  # (vma position, check order, kind, detail)
+    for i in _first_per_vma(slot, hw_w & is_cow).tolist():
+        found.append((slot[i], 0, "pte-flags",
+                      f"WRITE and COW both set at vpn {vpns[i]}"))
+    for i in _first_per_vma(slot, hw_w & ~writable[slot]).tolist():
+        found.append((slot[i], 1, "pte-flags",
+                      f"hardware-writable PTE in read-only VMA at vpn {vpns[i]}"))
+    for i in _first_per_vma(slot, hw_w & on_cxl).tolist():
+        found.append((slot[i], 2, "tlb-proxy",
+                      f"writable mapping of an immutable CXL replica at vpn {vpns[i]}"))
 
-    # Coverage: every present PTE accounted for by some VMA.  VMAs cannot
-    # overlap (insert() rejects that), so equality is exact.
-    table_present = mm.pagetable.count_present()
-    if table_present != vma_present:
+    # Frame-ownership cross-check: the flag decides which pool must own
+    # (and refcount) the frame.
+    cxl_at = np.flatnonzero(on_cxl)
+    cxl_frames = frames[cxl_at]
+    _, group, inverse = np.unique(
+        slot[cxl_at], return_index=True, return_inverse=True
+    )
+    rank = np.arange(cxl_at.size) - group[inverse]
+    foreign = (rank < 1024) & ~node.fabric.is_cxl_frame(cxl_frames)
+    for i in np.flatnonzero(foreign).tolist():
+        found.append((slot[cxl_at[i]], 3, "frame-owner",
+                      f"CXL-flagged PTE maps non-fabric frame {cxl_frames[i]}"))
+    pool = node.fabric.device.frames
+    if cxl_at.size and holds:
+        freed = pool.refcounts(cxl_frames) <= 0
+        if not pool.quarantined:
+            for i in _first_per_vma(slot[cxl_at], freed).tolist():
+                found.append((slot[cxl_at[i]], 4, "frame-owner",
+                              f"CXL frame {cxl_frames[i]} mapped but freed"))
+    dram = node.dram
+    if not dram.quarantined:
+        local = ~on_cxl
+        bad_range = local & ((frames < dram.base) | (frames >= dram.limit))
+        bad_at = _first_per_vma(slot, bad_range)
+        for i in bad_at.tolist():
+            found.append((slot[i], 5, "frame-owner",
+                          f"local PTE maps frame {frames[i]} outside "
+                          f"{node.name}'s DRAM pool"))
+        local_at = np.flatnonzero(local & ~np.isin(slot, slot[bad_at]))
+        counts = dram.refcounts(frames[local_at])
+        at = slot[local_at]
+        for i in _first_per_vma(at, counts <= 0).tolist():
+            found.append((at[i], 6, "frame-owner",
+                          f"local frame {frames[local_at[i]]} mapped but freed"))
+        # Shootdown soundness: hardware-writable implies exclusive.
+        for i in _first_per_vma(at, hw_w[local_at] & (counts > 1)).tolist():
+            found.append((at[i], 7, "tlb-proxy",
+                          f"writable mapping of shared frame {frames[local_at[i]]} "
+                          f"(refcount {counts[i]}) — missed CoW/shootdown"))
+    found.sort(key=lambda item: (item[0], item[1]))
+    for _, _, kind, detail in found:
+        report.add(kind, who, detail)
+
+    # Coverage: every present PTE accounted for by some VMA.
+    if outside:
         report.add(
             "vma-coverage", who,
-            f"{table_present - vma_present} present PTE(s) outside every VMA",
+            f"{outside} present PTE(s) outside every VMA",
         )
 
     # cxl_resident leaves must map only CXL frames (they *are* checkpoint
     # storage; a local frame in one means a half-finished privatize).
-    for leaf_index, leaf in mm.pagetable.leaves():
-        if not leaf.cxl_resident:
-            continue
-        present = (leaf.ptes & _P) != 0
-        if np.any(present & ((leaf.ptes & _CXL) == 0)):
-            report.add(
-                "leaf-residency", who,
-                f"cxl_resident PTE leaf {leaf_index} maps node-local memory",
-            )
+    resident = np.array([leaf.cxl_resident for _, leaf in leaves], dtype=bool)
+    mixed = resident & np.any(present & ((table & _CXL) == 0), axis=1)
+    for i in np.flatnonzero(mixed).tolist():
+        report.add(
+            "leaf-residency", who,
+            f"cxl_resident PTE leaf {leaf_index[i]} maps node-local memory",
+        )
     if standalone:
         CHECK.tally("invariant_runs", "violations", len(report.violations), report)
     return report

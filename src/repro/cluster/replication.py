@@ -363,10 +363,10 @@ def _materialize_criu(wire: dict, pod, codec: Codec):
     ckpt.dumped_pages = wire["dumped_pages"]
 
     chunks = wire.get("chunks")
-    interner = None
     if chunks is not None:
         # Dedup-sealed image: dumped pages whose chunks this pod already
         # holds resolve to adopted frames; the rest land in pages.img.
+        from repro.dedup.chunkindex import MISS
         from repro.dedup.seal import ChunkInterner
 
         fabric = pod.fabric
@@ -374,19 +374,9 @@ def _materialize_criu(wire: dict, pod, codec: Codec):
         ckpt.page_code_vpns = _decode_codes(chunks["vpns"])
         ckpt.page_codes = _decode_codes(chunks["codes"])
         ckpt.zero_elided_pages = int(wire.get("zero_elided", 0))
-        adopted: list[int] = []
-        try:
-            for code in ckpt.page_codes.tolist():
-                frame = interner.adopt_only(int(code))
-                if frame is not None:
-                    adopted.append(frame)
-        except BaseException:
-            interner.abort()
-            if adopted:
-                fabric.put_frames(np.asarray(adopted, dtype=np.int64))
-            raise
-        ckpt.chunk_frames = np.asarray(adopted, dtype=np.int64)
-        ckpt.dedup_pages = len(adopted)
+        frames = interner.adopt_only(ckpt.page_codes)
+        ckpt.chunk_frames = frames[frames != MISS]
+        ckpt.dedup_pages = int(ckpt.chunk_frames.size)
         interner.finish()
 
     blob_t = codec.encode(wire["task"])

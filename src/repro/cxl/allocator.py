@@ -9,8 +9,8 @@ across nodes and are reclaimed only when the last sharer drops them.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -71,6 +71,57 @@ class LeakReport:
         if self.missing:
             parts.append(f"{len(self.missing)} missing (e.g. {self.missing[:4]})")
         return " ".join(parts)
+
+
+class RefCounts(Mapping):
+    """Frame -> refcount as two parallel arrays: ``frames`` sorted and
+    distinct, ``counts`` their refcounts.  Read-only; ``len`` is the number
+    of distinct frames."""
+
+    def __init__(self, frames: np.ndarray, counts: np.ndarray) -> None:
+        self.frames = frames
+        self.counts = counts
+
+    @classmethod
+    def of(cls, chunks: "Iterable[np.ndarray]") -> "RefCounts":
+        """One reference per listing: a frame listed twice, in one frame
+        array or in two, counts 2."""
+        frames = np.concatenate([np.empty(0, dtype=np.int64), *chunks])
+        uniq, counts = np.unique(
+            np.asarray(frames, dtype=np.int64), return_counts=True
+        )
+        return cls(uniq, counts.astype(np.int64))
+
+    @classmethod
+    def of_mapping(cls, mapping: "Mapping[int, int]") -> "RefCounts":
+        if isinstance(mapping, RefCounts):
+            return mapping
+        frames = np.fromiter(mapping.keys(), dtype=np.int64, count=len(mapping))
+        counts = np.fromiter(mapping.values(), dtype=np.int64, count=len(mapping))
+        order = np.argsort(frames)
+        return cls(frames[order], counts[order])
+
+    def lookup(self, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(counts, listed)`` for ``frames``: each frame's count (0 where
+        unlisted) and whether it is listed."""
+        pos = np.searchsorted(self.frames, frames)
+        listed = pos < self.frames.size
+        listed[listed] = self.frames[pos[listed]] == frames[listed]
+        counts = np.zeros(frames.size, dtype=np.int64)
+        counts[listed] = self.counts[pos[listed]]
+        return counts, listed
+
+    def __getitem__(self, frame: int) -> int:
+        counts, listed = self.lookup(np.array([frame], dtype=np.int64))
+        if not listed[0]:
+            raise KeyError(frame)
+        return int(counts[0])
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.frames.tolist())
+
+    def __len__(self) -> int:
+        return int(self.frames.size)
 
 
 class FrameAllocator:
@@ -355,10 +406,6 @@ class FrameAllocator:
             self.epoch += 1
         return cleared
 
-    def is_poisoned(self, frame: int) -> bool:
-        i = self._index(frame)
-        return i in self._poisoned or i in self._offlined
-
     def _bad_indices(self) -> np.ndarray:
         if self._bad_cache is None:
             bad = sorted(self._poisoned | self._offlined)
@@ -382,38 +429,38 @@ class FrameAllocator:
 
     # -- leak auditing -------------------------------------------------------
 
-    def snapshot_refcounts(self) -> dict[int, int]:
-        """Map of global frame number -> refcount for all allocated frames."""
-        live = np.nonzero(self._refcount[: self._bump] > 0)[0]
-        counts = self._refcount[live]
-        return {
-            int(frame) + self.base: int(count)
-            for frame, count in zip(live, counts)
-        }
+    def snapshot_refcounts(self) -> "RefCounts":
+        """Global frame number -> refcount for all allocated frames."""
+        live = np.flatnonzero(self._refcount[: self._bump] > 0)
+        return RefCounts(live + self.base, self._refcount[live].astype(np.int64))
 
     def audit(self, expected: "Mapping[int, int]") -> LeakReport:
         """Cross-check refcounts against an owner-derived expected model.
 
         ``expected`` maps global frame numbers to the refcount implied by
         walking every live owner (page tables, checkpoints, heaps, files,
-        pinned regions).  A quarantined pool reports clean: its frames died
-        with the node and are no longer part of the accounting.
+        pinned regions) — a :class:`RefCounts`, or any mapping.  A
+        quarantined pool reports clean: its frames died with the node and
+        are no longer part of the accounting.
         """
         report = LeakReport(pool=self.name)
         if self.quarantined:
             return report
         actual = self.snapshot_refcounts()
-        for frame, count in actual.items():
-            want = expected.get(frame)
-            if want is None:
-                report.leaked.append(frame)
-            elif want != count:
-                report.mismatched[frame] = (count, int(want))
-        for frame in expected:
-            if frame not in actual and self.owns(frame):
-                report.missing.append(frame)
-        report.leaked.sort()
-        report.missing.sort()
+        expected = RefCounts.of_mapping(expected)
+        want, listed = expected.lookup(actual.frames)
+        report.leaked = actual.frames[~listed].tolist()
+        wrong = listed & (want != actual.counts)
+        report.mismatched = dict(zip(
+            actual.frames[wrong].tolist(),
+            zip(actual.counts[wrong].tolist(), want[wrong].tolist()),
+        ))
+        # Claimed frames of this pool that hold no reference.
+        claimed = expected.frames[
+            (expected.frames >= self.base) & (expected.frames < self.limit)
+        ]
+        _, held = actual.lookup(claimed)
+        report.missing = claimed[~held].tolist()
         report.offlined = sorted(self.base + i for i in self._offlined)
         return report
 
@@ -424,4 +471,4 @@ class FrameAllocator:
         )
 
 
-__all__ = ["FrameAllocator", "LeakReport", "OutOfMemoryError"]
+__all__ = ["FrameAllocator", "LeakReport", "OutOfMemoryError", "RefCounts"]

@@ -43,7 +43,7 @@ whole pod.
 
 from __future__ import annotations
 
-from repro.dedup.chunkindex import NO_CODE, ChunkIndex, DedupStats
+from repro.dedup.chunkindex import MISS, NO_CODE, ChunkIndex, DedupStats
 from repro.runtime import Switch
 
 
@@ -51,4 +51,4 @@ from repro.runtime import Switch
 DEDUP = Switch("dedup")
 
 
-__all__ = ["DEDUP", "ChunkIndex", "DedupStats", "NO_CODE"]
+__all__ = ["DEDUP", "ChunkIndex", "DedupStats", "MISS", "NO_CODE"]

@@ -20,12 +20,17 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from itertools import islice, repeat
 from typing import Optional
 
 import numpy as np
 
+from repro.cxl.allocator import RefCounts
+
 #: Sentinel code meaning "no content recorded for this page".
 NO_CODE = 0
+#: Sentinel frame :meth:`ChunkIndex.lookup` returns for a code it cannot serve.
+MISS = -1
 
 _MASK63 = np.uint64(0x7FFF_FFFF_FFFF_FFFF)
 _MIX_PRIME = np.uint64(0x9E37_79B9_7F4A_7C15)
@@ -63,13 +68,6 @@ class DedupStats:
     repointed: int = 0
     #: Replication: chunks the destination already held (not re-shipped).
     wire_chunks_deduped: int = 0
-
-
-@dataclass
-class _Entry:
-    code: int
-    frame: int
-    sharers: int = 1
 
 
 class ChunkIndex:
@@ -129,40 +127,65 @@ class ChunkIndex:
     def __len__(self) -> int:
         return len(self._frame_by_code)
 
-    def lookup(self, code: int) -> Optional[int]:
-        """Frame holding ``code``'s content, or None.  A poisoned frame is
-        reported as a miss: new checkpoints must never adopt corrupt
-        content (existing sharers are RAS's problem, not ours)."""
-        frame = self._frame_by_code.get(int(code))
-        if frame is None:
-            return None
-        if self.fabric.device.frames.is_poisoned(frame):
-            return None
-        return frame
+    def lookup(self, codes) -> np.ndarray:
+        """The frame holding each code's content, or :data:`MISS` where the
+        code is unknown, ``NO_CODE`` or held by a poisoned frame: new
+        checkpoints must never adopt corrupt content (existing sharers are
+        RAS's problem, not ours).  A scalar code is the one-element case."""
+        codes = np.atleast_1d(np.asarray(codes, dtype=np.int64))
+        n = codes.size
+        frames = np.fromiter(
+            map(self._frame_by_code.get, codes.tolist(), repeat(MISS, n)),
+            dtype=np.int64, count=n,
+        )
+        frames[codes == NO_CODE] = MISS
+        bad = self.fabric.device.frames.poisoned_in(frames[frames != MISS])
+        if bad.size:
+            frames[np.isin(frames, bad)] = MISS
+        return frames
 
-    def adopt(self, frame: int) -> None:
-        """A checkpoint claims an existing chunk: bump the sharer count and
-        take the fabric reference the checkpoint will hold."""
-        frame = int(frame)
-        self._sharers[frame] += 1
-        self.fabric.get_frames(np.array([frame], dtype=np.int64))
-        self.stats.hits += 1
+    def adopt(self, frames) -> None:
+        """Checkpoints claim existing chunks: bump each frame's sharer
+        count and take the fabric references the checkpoint will hold.
+        ``frames`` must be distinct (a vectorized ``get`` applies a
+        repeated frame once)."""
+        frames = np.atleast_1d(np.asarray(frames, dtype=np.int64))
+        keys = frames.tolist()
+        sharers = self._sharers
+        bumped = np.fromiter(
+            map(sharers.__getitem__, keys), dtype=np.int64, count=len(keys)
+        ) + 1
+        # Take the references first: a refused ``get`` leaves no trace.
+        self.fabric.get_frames(frames)
+        sharers.update(zip(keys, bumped.tolist()))
+        self.stats.hits += len(keys)
 
-    def register(self, code: int, frame: int) -> None:
-        """Record a freshly sealed chunk (the caller allocated ``frame`` and
-        already holds its reference).  First-writer-wins: if ``code`` is
-        already mapped (a poisoned entry being superseded, or a duplicate
-        within one seal), the existing mapping stands and ``frame`` simply
-        stays a private, unindexed copy."""
-        code = int(code)
-        frame = int(frame)
-        if code == NO_CODE or code in self._frame_by_code:
+    def register(self, codes, frames) -> None:
+        """Record freshly sealed chunks (the caller allocated ``frames``,
+        parallel to ``codes``, and already holds their references).
+        First-writer-wins in slot order: a code already mapped (a poisoned
+        entry being superseded) or repeated at a later slot keeps its first
+        mapping, and the other frame simply stays a private, unindexed
+        copy.  ``NO_CODE`` never registers."""
+        codes = np.atleast_1d(np.asarray(codes, dtype=np.int64))
+        frames = np.atleast_1d(np.asarray(frames, dtype=np.int64))
+        _, first = np.unique(codes, return_index=True)
+        first.sort()
+        first = first[codes[first] != NO_CODE]
+        known = self._frame_by_code
+        fresh = first[~np.fromiter(
+            map(known.__contains__, codes[first].tolist()),
+            dtype=bool, count=first.size,
+        )]
+        if not fresh.size:
             return
-        self._frame_by_code[code] = frame
-        self._code_by_frame[frame] = code
-        self._sharers[frame] = 1
+        new_codes = codes[fresh].tolist()
+        new_frames = frames[fresh].tolist()
+        known.update(zip(new_codes, new_frames))
+        self._code_by_frame.update(zip(new_frames, new_codes))
+        self._sharers.update(dict.fromkeys(new_frames, 1))
         self._lookup_cache = None
-        self.stats.misses += 1
+        self.stats.misses += len(new_codes)
 
     def release(self, frames: np.ndarray) -> None:
         """Drop one sharer from every indexed frame in ``frames`` (a
@@ -233,19 +256,24 @@ class ChunkIndex:
         page payloads need to traverse the interconnect."""
         uniq = np.unique(np.asarray(codes, dtype=np.int64))
         uniq = uniq[uniq != NO_CODE]
-        miss = [c for c in uniq.tolist() if self.lookup(c) is None]
-        return np.asarray(miss, dtype=np.int64)
+        return uniq[self.lookup(uniq) == MISS]
 
     def sharer_count(self, frame: int) -> int:
         return self._sharers.get(int(frame), 0)
 
-    def wrong_frame_for(self, code: int) -> Optional[int]:
-        """A deterministic *different* chunk frame (the ``alias-wrong-chunk``
-        seeded mutation maps a page into the wrong hash bucket)."""
-        for frame, frame_code in self._code_by_frame.items():
-            if frame_code != int(code):
-                return frame
-        return None
+    def wrong_frame_for(self, codes) -> np.ndarray:
+        """A deterministic *different* chunk frame per code, or :data:`MISS`
+        where the index holds no other chunk (the ``alias-wrong-chunk``
+        seeded mutation maps a page into the wrong hash bucket): the first
+        registered frame, or the second for the first frame's own code."""
+        codes = np.atleast_1d(np.asarray(codes, dtype=np.int64))
+        out = np.full(codes.size, MISS, dtype=np.int64)
+        first = list(islice(self._code_by_frame.items(), 2))
+        if first:
+            (frame0, code0), *rest = first
+            out[:] = frame0
+            out[codes == code0] = rest[0][0] if rest else MISS
+        return out
 
     # -- consistency -------------------------------------------------------------
 
@@ -258,39 +286,47 @@ class ChunkIndex:
         human-readable mismatch descriptions (empty = consistent).
         """
         problems: list[str] = []
-        for code, frame in self._frame_by_code.items():
-            if self._code_by_frame.get(frame) != code:
-                problems.append(
-                    f"chunk map asymmetry: code {code} -> frame {frame} "
-                    f"but frame maps to {self._code_by_frame.get(frame)}"
-                )
-        census: dict[int, int] = {}
+        codes = np.fromiter(self._frame_by_code.keys(), dtype=np.int64,
+                            count=len(self._frame_by_code))
+        frames = np.fromiter(self._frame_by_code.values(), dtype=np.int64,
+                             count=codes.size)
+        for i in np.flatnonzero(self.codes_for(frames) != codes).tolist():
+            code, frame = int(codes[i]), int(frames[i])
+            problems.append(
+                f"chunk map asymmetry: code {code} -> frame {frame} "
+                f"but frame maps to {self._code_by_frame.get(frame)}"
+            )
+        listed = []
         for ckpt in checkpoints:
             if getattr(ckpt, "_deleted", False):
                 continue
-            frames = getattr(ckpt, "data_frames", None)
-            if frames is None:
-                frames = getattr(ckpt, "chunk_frames", None)
-            if frames is None or not len(frames):
-                continue
-            for frame in np.asarray(frames, dtype=np.int64):
-                frame = int(frame)
-                if frame in self._code_by_frame:
-                    census[frame] = census.get(frame, 0) + 1
-        for frame, sharers in self._sharers.items():
-            owned = census.get(frame, 0)
-            if owned != sharers:
-                problems.append(
-                    f"chunk frame {frame} (code {self._code_by_frame[frame]}): "
-                    f"{sharers} recorded sharers but {owned} live checkpoint(s) "
-                    "list it"
-                )
-        for frame in census:
-            if frame not in self._sharers:
-                problems.append(
-                    f"frame {frame} is indexed but has no sharer record"
-                )
+            ckpt_frames = getattr(ckpt, "data_frames", None)
+            if ckpt_frames is None:
+                ckpt_frames = getattr(ckpt, "chunk_frames", None)
+            if ckpt_frames is not None:
+                listed.append(np.asarray(ckpt_frames, dtype=np.int64))
+        listed = np.concatenate([np.empty(0, dtype=np.int64), *listed])
+        indexed = listed[self.codes_for(listed) != NO_CODE]
+        # The census: how many live checkpoints list each indexed frame.
+        census = RefCounts.of([indexed])
+        sharer_frames = np.fromiter(self._sharers.keys(), dtype=np.int64,
+                                    count=len(self._sharers))
+        sharers = np.fromiter(self._sharers.values(), dtype=np.int64,
+                              count=sharer_frames.size)
+        owned, _ = census.lookup(sharer_frames)
+        for i in np.flatnonzero(owned != sharers).tolist():
+            frame = int(sharer_frames[i])
+            problems.append(
+                f"chunk frame {frame} (code {self._code_by_frame[frame]}): "
+                f"{int(sharers[i])} recorded sharers but {int(owned[i])} "
+                "live checkpoint(s) list it"
+            )
+        unrecorded = indexed[~np.isin(indexed, sharer_frames)]
+        for frame in dict.fromkeys(unrecorded.tolist()):  # first-listing order
+            problems.append(
+                f"frame {frame} is indexed but has no sharer record"
+            )
         return problems
 
 
-__all__ = ["ChunkIndex", "DedupStats", "NO_CODE", "_h63", "_mix"]
+__all__ = ["ChunkIndex", "DedupStats", "MISS", "NO_CODE", "_h63", "_mix"]

@@ -28,12 +28,10 @@ just counts them as the elided zero-chunk population.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.check import mutation as _mutation
-from repro.dedup.chunkindex import NO_CODE, ChunkIndex
+from repro.dedup.chunkindex import MISS, NO_CODE, ChunkIndex
 from repro.os.mm.pagetable import PTES_PER_LEAF
 from repro.os.mm.pte import PTE_FRAME_SHIFT, PteFlags
 from repro.os.mm.vma import VmaKind
@@ -152,6 +150,23 @@ def seal_codes(task, index: ChunkIndex) -> tuple[dict[int, np.ndarray], int]:
     return code_map, zero_elided
 
 
+def codes_at(code_map: dict[int, np.ndarray], vpns: np.ndarray) -> np.ndarray:
+    """The :func:`seal_codes` code of each vpn (``NO_CODE`` where its leaf
+    has none)."""
+    codes = np.zeros(vpns.size, dtype=np.int64)
+    if not code_map or not vpns.size:
+        return codes
+    leaves = np.fromiter(code_map.keys(), dtype=np.int64, count=len(code_map))
+    order = np.argsort(leaves)
+    leaves = leaves[order]
+    table = np.stack(list(code_map.values()))[order]
+    row = np.searchsorted(leaves, vpns // PTES_PER_LEAF)
+    found = row < leaves.size
+    found[found] = leaves[row[found]] == vpns[found] // PTES_PER_LEAF
+    codes[found] = table[row[found], vpns[found] % PTES_PER_LEAF]
+    return codes
+
+
 class ChunkInterner:
     """Seal-side intern loop with crash-safe unwind.
 
@@ -161,7 +176,7 @@ class ChunkInterner:
     checkpoint a physical frame is mapped at most once: ``FrameAllocator``'s
     vectorized get/put apply duplicate frames in one call only once, so a
     twice-mapped frame would silently corrupt the refcount audit.  The
-    duplicate occurrence falls back to a private frame instead.
+    later occurrence (in seal order) falls back to a private frame instead.
     """
 
     def __init__(self, index: ChunkIndex, fabric) -> None:
@@ -173,53 +188,60 @@ class ChunkInterner:
         self.shared_pages = 0
         self.new_pages = 0
 
-    def intern_leaf(self, codes: np.ndarray) -> np.ndarray:
-        """Resolve one leaf's present-page codes to frames (in order)."""
-        n = int(codes.size)
-        frames = np.empty(n, dtype=np.int64)
-        miss_slots: list[int] = []
-        mutate = _mutation.ALIAS_WRONG_CHUNK.active()
-        for i in range(n):
-            code = int(codes[i])
-            hit = self.index.lookup(code) if code != NO_CODE else None
-            if mutate and hit is not None:
-                # Seeded bug: the seal maps the page into the *wrong* hash
-                # bucket — some other chunk's frame — while recording the
-                # intended code.  The oracle's chunk-code cross-check must
-                # catch the restored child reading another page's bytes.
-                wrong = self.index.wrong_frame_for(code)
-                if wrong is not None and wrong not in self._used:
-                    hit = wrong
-            if hit is not None and hit not in self._used:
-                self.index.adopt(hit)
-                self._adopted.append(hit)
-                self._used.add(hit)
-                frames[i] = hit
-                self.shared_pages += 1
-            else:
-                miss_slots.append(i)
-        if miss_slots:
-            fresh = self.fabric.alloc_frames(len(miss_slots))
-            for slot, frame in zip(miss_slots, fresh):
-                frame = int(frame)
-                frames[slot] = frame
-                self._used.add(frame)
-                self.index.register(int(codes[slot]), frame)
-                self._registered.append(frame)
-            self.new_pages += len(miss_slots)
+    def adopt_only(self, codes: np.ndarray) -> np.ndarray:
+        """Adopt the existing chunks for ``codes`` with one index lookup
+        and one ``adopt``; returns the adopted frames, :data:`MISS` for
+        misses.  A hit is dropped (becomes a miss) when an earlier call of
+        this seal already mapped its frame, or an earlier slot of this one
+        did.  criu-cxl seals through this alone: it stores missed pages in
+        its image files, not standalone frames."""
+        codes = np.asarray(codes, dtype=np.int64)
+        frames = self.index.lookup(codes)
+        if _mutation.ALIAS_WRONG_CHUNK.active():
+            # Seeded bug: the seal maps hits into the *wrong* hash bucket —
+            # some other chunk's frame — while recording the intended code.
+            # The oracle's chunk-code cross-check must catch the restored
+            # child reading another page's bytes.
+            wrong = self.index.wrong_frame_for(codes)
+            frames = np.where((frames != MISS) & (wrong != MISS), wrong, frames)
+        slots = np.flatnonzero(frames != MISS)
+        if slots.size:
+            hits = frames[slots]
+            _, first = np.unique(hits, return_index=True)
+            dropped = np.ones(slots.size, dtype=bool)
+            dropped[first] = False
+            dropped |= np.fromiter(
+                map(self._used.__contains__, hits.tolist()),
+                dtype=bool, count=hits.size,
+            )
+            frames[slots[dropped]] = MISS
+            adopted = frames[slots[~dropped]]
+            if adopted.size:
+                self.index.adopt(adopted)
+                adopted = adopted.tolist()
+                self._adopted.extend(adopted)
+                self._used.update(adopted)
+                self.shared_pages += len(adopted)
         return frames
 
-    def adopt_only(self, code: int) -> Optional[int]:
-        """criu-cxl flavor: adopt an existing chunk or report a miss (criu
-        stores missed pages in its image files, not standalone frames)."""
-        hit = self.index.lookup(int(code)) if code != NO_CODE else None
-        if hit is None or hit in self._used:
-            return None
-        self.index.adopt(hit)
-        self._adopted.append(hit)
-        self._used.add(hit)
-        self.shared_pages += 1
-        return hit
+    def intern_leaf(self, codes: np.ndarray) -> np.ndarray:
+        """Resolve one leaf's present-page codes to frames (in order)."""
+        codes = np.asarray(codes, dtype=np.int64)
+        frames = self.adopt_only(codes)
+        miss = frames == MISS
+        count = int(np.count_nonzero(miss))
+        if count:
+            # One allocation per leaf, in slot order: the free list hands
+            # out recycled frames from its end, so batching leaves together
+            # would change which frame each page gets.
+            fresh = self.fabric.alloc_frames(count)
+            frames[miss] = fresh
+            self.index.register(codes[miss], fresh)
+            fresh = fresh.tolist()
+            self._used.update(fresh)
+            self._registered.extend(fresh)
+            self.new_pages += count
+        return frames
 
     def finish(self) -> None:
         TRACE.count("dedup.shared_pages", self.shared_pages)
@@ -241,4 +263,4 @@ class ChunkInterner:
         self._registered.clear()
 
 
-__all__ = ["ChunkInterner", "seal_codes"]
+__all__ = ["ChunkInterner", "codes_at", "seal_codes"]

@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from repro.cxl.allocator import LeakReport
+from repro.cxl.allocator import LeakReport, RefCounts
 from repro.os.mm.pte import PTE_FRAME_SHIFT, PteFlags
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -53,12 +53,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _PRESENT = np.int64(int(PteFlags.PRESENT))
 _CXL = np.int64(int(PteFlags.CXL))
-
-
-def _bump(expected: dict, frames: np.ndarray, by: int = 1) -> None:
-    for frame in frames:
-        key = int(frame)
-        expected[key] = expected.get(key, 0) + by
 
 
 def _task_frame_refs(task) -> tuple[np.ndarray, np.ndarray]:
@@ -97,71 +91,70 @@ def expected_refcounts(
     cxlfs=None,
     checkpoints: Iterable = (),
     ghost_pools: Iterable = (),
-) -> tuple[dict, dict]:
+) -> tuple[RefCounts, dict[str, RefCounts]]:
     """Build the owner-derived refcount model.
 
-    Returns ``(cxl_expected, dram_expected)`` where ``cxl_expected`` maps
-    CXL frame -> count and ``dram_expected`` maps node name -> (frame ->
-    count) for that node's DRAM pool.
+    Returns ``(cxl_expected, dram_expected)`` where ``cxl_expected`` holds
+    the expected count of every referenced CXL frame and ``dram_expected``
+    maps node name -> the same for that node's DRAM pool.  Every owner
+    contributes its frame array with multiplicity; each pool's arrays are
+    counted once at the end.
     """
-    cxl: dict[int, int] = {}
-    dram: dict[str, dict[int, int]] = {n.name: {} for n in nodes}
+    cxl: list[np.ndarray] = []
+    dram: dict[str, list[np.ndarray]] = {n.name: [] for n in nodes}
 
     # Pinned fabric regions (e.g. the porter object-store directory).
-    for frames in fabric._regions.values():
-        _bump(cxl, frames)
+    cxl.extend(fabric._regions.values())
 
     # In-CXL file system (CRIU images and anything else written there).
     if cxlfs is not None:
-        for path in cxlfs.listdir():
-            _bump(cxl, cxlfs.stat(path).frames)
+        cxl.extend(cxlfs.stat(path).frames for path in cxlfs.listdir())
 
     # Checkpoints (duck-typed across the three mechanisms).
     for ckpt in checkpoints:
         if getattr(ckpt, "_deleted", False):
             continue
         data_frames = getattr(ckpt, "data_frames", None)
-        if data_frames is not None and data_frames.size:
-            _bump(cxl, data_frames)
+        if data_frames is not None:
+            cxl.append(data_frames)
         heap = getattr(ckpt, "heap", None)
-        if heap is not None and heap.backing_frames.size:
-            _bump(cxl, heap.backing_frames)
+        if heap is not None:
+            cxl.append(heap.backing_frames)
         shared_chunks = getattr(ckpt, "chunk_frames", None)
-        if shared_chunks is not None and shared_chunks.size:
-            _bump(cxl, shared_chunks)
+        if shared_chunks is not None:
+            cxl.append(shared_chunks)
         shadow = getattr(ckpt, "shadow_frames", None)
-        if shadow is not None and shadow.size:
+        if shadow is not None:
             parent = ckpt.parent_node
             if not parent.failed:
-                _bump(dram.setdefault(parent.name, {}), shadow)
+                dram.setdefault(parent.name, []).append(shadow)
 
     # Ghost-container pools reserve each ghost's bare 512 KB from its
     # node's DRAM (porter deployments).
     for pool in ghost_pools:
         if pool.node.failed:
             continue
-        pool_dram = dram.setdefault(pool.node.name, {})
-        for ghost in pool._all:
-            _bump(pool_dram, ghost.reserved_frames)
+        dram.setdefault(pool.node.name, []).extend(
+            ghost.reserved_frames for ghost in pool._all
+        )
 
     # Live tasks: page-table mappings, per-node page caches.
     for node in nodes:
-        node_dram = dram.setdefault(node.name, {})
+        node_dram = dram.setdefault(node.name, [])
         if node.failed:
             continue  # quarantined pool; kernel has no tasks anyway
-        for cached, frames in node.pagecache._files.values():
-            live = frames[cached]
-            if live.size:
-                _bump(node_dram, live)
+        node_dram.extend(
+            frames[cached] for cached, frames in node.pagecache._files.values()
+        )
         for task in node.kernel.tasks():
             cxl_frames, local_frames = _task_frame_refs(task)
             backing = task.mm.ckpt_backing
-            holds = backing is None or backing.holds_frame_refs
-            if cxl_frames.size and holds:
-                _bump(cxl, cxl_frames)
-            if local_frames.size:
-                _bump(node_dram, local_frames)
-    return cxl, dram
+            if backing is None or backing.holds_frame_refs:
+                cxl.append(cxl_frames)
+            node_dram.append(local_frames)
+    return RefCounts.of(cxl), {
+        name: RefCounts.of(chunks) for name, chunks in dram.items()
+    }
 
 
 @dataclass

@@ -129,7 +129,7 @@ class FaultInjector:
         Used by timed poison (:meth:`poison_at`) landing mid-operation,
         when the caller cannot know which frames exist at the deadline.
         """
-        candidates = sorted(pool.snapshot_refcounts())
+        candidates = pool.snapshot_refcounts().frames.tolist()
         if not candidates:
             return 0
         order = self.rng.permutation(len(candidates))

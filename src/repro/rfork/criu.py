@@ -20,9 +20,9 @@ from typing import Any, Optional
 import numpy as np
 
 from repro.dedup import DEDUP
-from repro.dedup.seal import ChunkInterner, seal_codes
+from repro.dedup.chunkindex import MISS
+from repro.dedup.seal import ChunkInterner, codes_at, seal_codes
 from repro.os.fs.cxlfs import CxlFileSystem
-from repro.os.mm.pagetable import PTES_PER_LEAF
 from repro.os.mm.pte import PteFlags
 from repro.os.mm.vma import VmaKind
 from repro.os.node import ComputeNode
@@ -226,35 +226,17 @@ class CriuCxl(RemoteForkMechanism):
                 index = fabric.chunk_index
                 code_map, zero_elided = seal_codes(task, index)
                 interner = ChunkInterner(index, fabric)
-                vpn_chunks: list[np.ndarray] = []
-                code_chunks: list[np.ndarray] = []
-                chunk_frames: list[int] = []
+                vpn_chunks = [np.empty(0, dtype=np.int64)]
                 for record in ckpt.pagemaps:
                     clean = mask_in_range(
                         file_clean_vpns, record.start_vpn, record.npages
                     )
-                    vpns = record.start_vpn + np.nonzero(~clean)[0]
-                    if not vpns.size:
-                        continue
-                    codes = np.empty(vpns.size, dtype=np.int64)
-                    for i, vpn in enumerate(vpns):
-                        leaf_codes = code_map.get(int(vpn) // PTES_PER_LEAF)
-                        code = (
-                            int(leaf_codes[int(vpn) & (PTES_PER_LEAF - 1)])
-                            if leaf_codes is not None
-                            else 0
-                        )
-                        codes[i] = code
-                        frame = interner.adopt_only(code)
-                        if frame is not None:
-                            chunk_frames.append(frame)
-                    vpn_chunks.append(vpns)
-                    code_chunks.append(codes)
-                if vpn_chunks:
-                    ckpt.page_code_vpns = np.concatenate(vpn_chunks)
-                    ckpt.page_codes = np.concatenate(code_chunks)
-                ckpt.chunk_frames = np.asarray(chunk_frames, dtype=np.int64)
-                ckpt.dedup_pages = len(chunk_frames)
+                    vpn_chunks.append(record.start_vpn + np.nonzero(~clean)[0])
+                ckpt.page_code_vpns = np.concatenate(vpn_chunks)
+                ckpt.page_codes = codes_at(code_map, ckpt.page_code_vpns)
+                frames = interner.adopt_only(ckpt.page_codes)
+                ckpt.chunk_frames = frames[frames != MISS]
+                ckpt.dedup_pages = int(ckpt.chunk_frames.size)
                 ckpt.zero_elided_pages = zero_elided
                 index.stats.zero_elided += zero_elided
                 interner.finish()

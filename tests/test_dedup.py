@@ -8,7 +8,7 @@ import pytest
 from repro.check import CheckFailure, mutation
 from repro.check.invariants import check_pod
 from repro.check.oracle import DifferentialOracle
-from repro.dedup import DEDUP, NO_CODE
+from repro.dedup import DEDUP, MISS, NO_CODE
 from repro.dedup.selftest import run_smoke
 from repro import experiments
 from repro.experiments import density
@@ -33,7 +33,7 @@ class TestChunkIndex:
     def test_register_lookup_roundtrip(self, fabric, index):
         frame = int(fabric.alloc_frames(1)[0])
         index.register(701, frame)
-        assert index.lookup(701) == frame
+        assert index.lookup(701).tolist() == [frame]
         assert index.code_of(frame) == 701
         assert index.sharer_count(frame) == 1
         assert len(index) == 1
@@ -42,7 +42,7 @@ class TestChunkIndex:
         a, b = (int(f) for f in fabric.alloc_frames(2))
         index.register(701, a)
         index.register(701, b)
-        assert index.lookup(701) == a
+        assert index.lookup(701).tolist() == [a]
         assert index.code_of(b) == NO_CODE
 
     def test_no_code_never_registers(self, fabric, index):
@@ -64,9 +64,9 @@ class TestChunkIndex:
         index.register(701, frame)
         index.adopt(frame)
         index.release(np.array([frame]))
-        assert index.lookup(701) == frame  # one sharer left
+        assert index.lookup(701).tolist() == [frame]  # one sharer left
         index.release(np.array([frame]))
-        assert index.lookup(701) is None
+        assert index.lookup(701).tolist() == [MISS]
         assert len(index) == 0
 
     def test_release_skips_unindexed_frames(self, fabric, index):
@@ -78,7 +78,7 @@ class TestChunkIndex:
         frame = int(fabric.alloc_frames(1)[0])
         index.register(701, frame)
         fabric.device.frames.poison(np.array([frame], dtype=np.int64))
-        assert index.lookup(701) is None
+        assert index.lookup(701).tolist() == [MISS]
         # The registration itself survives for RAS to repair/repoint.
         assert index.code_of(frame) == 701
 
@@ -87,7 +87,7 @@ class TestChunkIndex:
         index.register(701, old)
         index.adopt(old)
         index.repoint(old, new)
-        assert index.lookup(701) == new
+        assert index.lookup(701).tolist() == [new]
         assert index.sharer_count(new) == 2
         assert index.sharer_count(old) == 0
         assert index.stats.repointed == 1
@@ -133,8 +133,8 @@ class TestChunkIndex:
         a, b = (int(f) for f in fabric.alloc_frames(2))
         index.register(701, a)
         index.register(702, b)
-        assert index.wrong_frame_for(701) == b
-        assert index.wrong_frame_for(702) == a
+        assert index.wrong_frame_for(701).tolist() == [b]
+        assert index.wrong_frame_for(702).tolist() == [a]
 
     def test_lazy_property_vs_raw_slot(self, pod):
         # The checker reads the raw slot so a dedup-off pod never grows an

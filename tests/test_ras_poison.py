@@ -25,7 +25,7 @@ class TestPoisonContainment:
         frames = pool.alloc_many(4)
         assert pool.poison(frames[:1]) == 1
         assert pool.has_poison
-        assert pool.is_poisoned(int(frames[0]))
+        assert pool.poisoned_in(frames).tolist() == [int(frames[0])]
         # The owner still holds its reference (hardware poison model:
         # the mapping survives, the contents are garbage).
         assert pool.refcounts(frames[:1]).tolist() == [1]
