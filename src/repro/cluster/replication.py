@@ -108,8 +108,8 @@ def _cxlfork_wire(ckpt: CxlForkCheckpoint) -> dict:
         positions = np.nonzero(leaf.ptes)[0]
         entry = {
             "index": int(leaf_index),
-            "pos": positions.tolist(),
-            "flags": (leaf.ptes[positions] & flag_mask).tolist(),
+            "pos": positions,
+            "flags": leaf.ptes[positions] & flag_mask,
         }
         if dedup:
             # Chunk codes ride the wire so the destination can adopt pages

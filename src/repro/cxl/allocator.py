@@ -311,7 +311,7 @@ class FrameAllocator:
 
                     TRACE.count("ras.frames_offlined", offlined)
             else:
-                self._free.extend(int(i) for i in dead)
+                self._free.extend(dead.tolist())
         return int(dead.size)
 
     def _indices(self, frames) -> np.ndarray:

@@ -8,7 +8,7 @@ CXLfork serializes only the global-state subset (fds, namespaces, mounts).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.os.proc.fdtable import FileKind, OpenFile
@@ -126,7 +126,15 @@ class VmaRecord:
         )
 
     def to_wire(self) -> dict:
-        return asdict(self)
+        return {
+            "start_vpn": self.start_vpn,
+            "npages": self.npages,
+            "perms": self.perms,
+            "kind": self.kind,
+            "path": self.path,
+            "file_offset_pages": self.file_offset_pages,
+            "label": self.label,
+        }
 
     @classmethod
     def from_wire(cls, wire: dict) -> "VmaRecord":

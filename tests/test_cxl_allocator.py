@@ -64,6 +64,40 @@ class TestFreeAndReuse:
         with pytest.raises(ValueError):
             pool.put(frames)
 
+    def test_reuse_order_matches_per_int_free_list(self):
+        """put() pushes freed frames in array order and alloc_many() takes
+        the top of the stack: the same frames a free list grown one int
+        at a time hands out."""
+        base = 1000
+        pool = FrameAllocator("ref", base=base, capacity_frames=4096)
+        rng = np.random.default_rng(7)
+        refs: dict = {}  # frame -> refcount
+        free: list = []  # local indices, extended one int at a time
+        bump = 0
+        for _ in range(300):
+            if not refs or rng.random() < 0.45:
+                n = int(rng.integers(1, 40))
+                reuse = min(n, len(free))
+                want = free[len(free) - reuse :] + list(range(bump, bump + n - reuse))
+                del free[len(free) - reuse :]
+                bump += n - reuse
+                got = pool.alloc_many(n).tolist()
+                assert got == [base + i for i in want]
+                refs.update(dict.fromkeys(got, 1))
+                continue
+            live = np.array(sorted(refs), dtype=np.int64)
+            pick = rng.choice(live, size=min(live.size, int(rng.integers(1, 30))), replace=False)
+            if rng.random() < 0.3:
+                pool.get(pick[::2])
+                for frame in pick[::2].tolist():
+                    refs[frame] += 1
+            pool.put(pick)
+            for frame in pick.tolist():
+                refs[frame] -= 1
+                if not refs[frame]:
+                    del refs[frame]
+                    free.append(frame - base)
+
 
 class TestRefcounts:
     def test_get_increments(self, pool):

@@ -1,5 +1,7 @@
 """Checkpoint records: capture, wire round trips, rebuild."""
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.serial.codec import decode, encode
@@ -38,6 +40,14 @@ class TestCapture:
         assert restored.comm == record.comm
         assert restored.fds == record.fds
         assert restored.regs == record.regs
+
+    def test_vma_to_wire_is_asdict_in_field_order(self, task):
+        records = vma_records(task)
+        assert {r.path is None for r in records} == {True, False}
+        for record in records:
+            wire = record.to_wire()
+            assert wire == asdict(record)
+            assert list(wire) == list(asdict(record))
 
     def test_regs_restore(self, task):
         task.regs.rip = 0xABCD
